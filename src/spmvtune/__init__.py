@@ -20,8 +20,8 @@ from .kernels import (DeltaCsrMatrix, SchedulePolicy, ScheduleKind,
                       decode_delta, encode_delta, spmv_delta, spmv_prefetch,
                       spmv_scheduled, spmv_unrolled)
 from .ml import (Dataset, DecisionTree, GaussianNB, ModelFormatError,
-                 TrainedModel, load_model, loo_cv, predict_gnb, predict_tree,
-                 save_model, train_cart, train_gnb)
+                 TrainedModel, load_model, loo_cv, save_model, train_cart,
+                 train_gnb)
 from .mmio import (MatrixMarketError, load_matrix, parse_matrix_market,
                    read_matrix_market, write_matrix_market)
 from .profiling import (BenchmarkReport, ThresholdConfig, classify_from_report,
@@ -74,8 +74,6 @@ __all__ = [
     "optimization_for",
     "parse_matrix_market",
     "partition_rows_by_nnz",
-    "predict_gnb",
-    "predict_tree",
     "read_matrix_market",
     "reset_kernel_call_count",
     "resolve_subset",

@@ -29,7 +29,7 @@ from .kernels import (SchedulePolicy, ScheduleKind, encode_delta, spmv_delta,
 from .ml import (Dataset, ModelFormatError, TrainedModel, load_model, loo_cv,
                  save_model, train_cart, train_gnb)
 from .mmio import MatrixMarketError, load_matrix, write_matrix_market
-from .profiling import classify_profiling
+from .profiling import classify_profiling, median_time
 from .reporting import OverheadRecord, SpeedupStats
 from .taxonomy import MatrixClass, optimization_for
 
@@ -385,21 +385,11 @@ def _cmd_bench(args, timer, timer_factory) -> int:
         if not ok:
             raise DataError(f"internal error: variant {name!r} disagrees with baseline")
 
-    def timed(fn) -> float:
-        from statistics import median
-        for _ in range(cfg.warmup):
-            fn()
-        times = []
-        for _ in range(cfg.reps):
-            t0 = t()
-            fn()
-            times.append(t() - t0)
-        return median(times)
-
-    t_base = timed(runners["baseline"])
+    t_base = median_time(runners["baseline"], cfg.reps, cfg.warmup, t)
     rows = []
     for name in variants:
-        seconds = t_base if name == "baseline" else timed(runners[name])
+        seconds = (t_base if name == "baseline"
+                   else median_time(runners[name], cfg.reps, cfg.warmup, t))
         rows.append((name, seconds, t_base / seconds))
     best = max(rows, key=lambda r: r[2])
     for name, seconds, speedup in rows:
@@ -471,15 +461,9 @@ def _cmd_overhead(args, timer, timer_factory) -> int:
                                     timer=t, sequential=timer is not None)
         t_class = t() - t0
 
-    from statistics import median
-    for _ in range(cfg.warmup):
-        spmv_baseline(a, x, part)
-    times = []
-    for _ in range(cfg.reps):
-        t0 = t()
-        spmv_baseline(a, x, part)
-        times.append(t() - t0)
-    record = OverheadRecord.from_times(t_class, median(times))
+    t_spmv = median_time(lambda: spmv_baseline(a, x, part), cfg.reps,
+                         cfg.warmup, t)
+    record = OverheadRecord.from_times(t_class, t_spmv)
     print(f"mode {args.mode}")
     print(f"class {cls.name}")
     print(f"t_classification {record.t_classification:.6g}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,11 @@ class AdvisorConfig:
             raise ValueError("llc_bytes, cacheline_bytes, workers and reps must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
+        # bench_balance starts one thread per worker.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if self.workers > 4 * cpus:
+            raise ValueError(f"workers must be <= {4 * cpus} (4 x {cpus} usable CPUs)")
         resolve_subset(self.feature_subset)  # raises on unknown preset/features
 
     @property
@@ -43,17 +49,7 @@ class AdvisorConfig:
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {
-            "llc_bytes": self.llc_bytes,
-            "cacheline_bytes": self.cacheline_bytes,
-            "workers": self.workers,
-            "reps": self.reps,
-            "warmup": self.warmup,
-            "thresholds": {"theta_cml": self.thresholds.theta_cml,
-                           "theta_mb": self.thresholds.theta_mb,
-                           "theta_imb": self.thresholds.theta_imb},
-            "feature_subset": self.feature_subset,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdvisorConfig":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -275,16 +276,33 @@ def _shared_pool() -> ThreadPoolExecutor:
     return _pool
 
 
-def run_partitions(part: RowPartition, task) -> None:
-    """Run ``task(p)`` for every partition, concurrently when there are
-    several.  Workers must write disjoint output slices; all of them
+def run_partitions(n: int, task) -> None:
+    """Run ``task(p)`` for every p in ``range(n)``, concurrently when there
+    are several.  Tasks must write disjoint output slices; all of them
     complete before this returns."""
-    n = len(part)
     if n == 1:
         task(0)
         return
     # list() propagates worker exceptions.
     list(_shared_pool().map(task, range(n)))
+
+
+def _row_kernel(a, x, part: RowPartition | None, body) -> np.ndarray:
+    """Shared driver of the row kernels.
+
+    Counts the call, checks ``x`` and the partition (the whole matrix when
+    ``part`` is None), allocates ``y`` and runs ``body(x, y, lo, hi)`` once
+    per partition, concurrently when there are several.  ``body`` fills
+    ``y[lo:hi]`` and is the one place a kernel differs from the baseline.
+    """
+    _count_kernel_call()
+    x = _check_dims(a, x)
+    if part is None:
+        part = RowPartition.whole(a.nrows)
+    _check_partition(a, part)
+    y = np.zeros(a.nrows, dtype=np.float64)
+    run_partitions(len(part), lambda p: body(x, y, *part.bounds(p)))
+    return y
 
 
 def spmv_baseline(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -294,16 +312,5 @@ def spmv_baseline(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     partition count because rows are computed independently and workers
     write disjoint slices of y.
     """
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    if part is None:
-        part = RowPartition.whole(a.nrows)
-    _check_partition(a, part)
-    y = np.zeros(a.nrows, dtype=np.float64)
-
-    def task(p):
-        lo, hi = part.bounds(p)
-        _accumulate_rows(a.rowptr, a.colind, a.values, x, y, lo, hi)
-
-    run_partitions(part, task)
-    return y
+    return _row_kernel(a, x, part,
+                       partial(_accumulate_rows, a.rowptr, a.colind, a.values))

@@ -14,13 +14,14 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import fmean
 
 import numpy as np
 
 from .csr import (CsrMatrix, RowPartition, _accumulate_rows, _check_dims,
-                  _check_partition, _count_kernel_call, _shared_pool,
-                  partition_rows_by_nnz, run_partitions)
+                  _check_partition, _count_kernel_call, _row_kernel,
+                  partition_rows_by_nnz, run_partitions, spmv_baseline)
 
 _DELTA_LIMITS = {8: 255, 16: 65535}
 _DELTA_DTYPES = {8: np.uint8, 16: np.uint16}
@@ -187,23 +188,14 @@ def decode_delta(d: DeltaCsrMatrix) -> CsrMatrix:
 
 def spmv_delta(d: DeltaCsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
     """SpMV over the delta-coded form; bitwise-equal to the baseline."""
-    _count_kernel_call()
-    x = _check_dims(d, x)
-    if part is None:
-        part = RowPartition.whole(d.nrows)
-    _check_partition(d, part)
-    y = np.zeros(d.nrows, dtype=np.float64)
-
-    def task(p):
-        lo, hi = part.bounds(p)
+    def body(x, y, lo, hi):
         rowptr, values = d.rowptr, d.values
         for i in range(lo, hi):
             s, e = rowptr[i], rowptr[i + 1]
             if e > s:
                 y[i] = (values[s:e] * x[d.row_cols(i)]).sum()
 
-    run_partitions(part, task)
-    return y
+    return _row_kernel(d, x, part, body)
 
 
 def _prefetch_hint(x, cols) -> None:
@@ -224,15 +216,8 @@ def spmv_prefetch(a: CsrMatrix, x, part: RowPartition | None = None,
     """
     if distance < 1:
         raise ValueError("prefetch distance must be >= 1")
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    if part is None:
-        part = RowPartition.whole(a.nrows)
-    _check_partition(a, part)
-    y = np.zeros(a.nrows, dtype=np.float64)
 
-    def task(p):
-        lo, hi = part.bounds(p)
+    def body(x, y, lo, hi):
         rowptr, colind, values = a.rowptr, a.colind, a.values
         for i in range(lo, hi):
             s, e = rowptr[i], rowptr[i + 1]
@@ -240,53 +225,39 @@ def spmv_prefetch(a: CsrMatrix, x, part: RowPartition | None = None,
                 _prefetch_hint(x, colind[min(s + distance, e - 1):e])
                 y[i] = (values[s:e] * x[colind[s:e]]).sum()
 
-    run_partitions(part, task)
-    return y
+    return _row_kernel(a, x, part, body)
 
 
 def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
                    workers: int = 1) -> np.ndarray:
     """SpMV under a scheduling policy; y equals the baseline exactly.
 
-    ``static_nnz`` delegates to the nonzero-balanced static partitioning.
+    ``static_nnz`` is the baseline over the nonzero-balanced partition.
     ``dynamic_chunked`` hands out fixed-size row chunks from a shared
     queue, so no worker idles while unclaimed chunks remain.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if policy.kind is ScheduleKind.STATIC_NNZ:
+        return spmv_baseline(a, x, partition_rows_by_nnz(a, workers))
+
     _count_kernel_call()
     x = _check_dims(a, x)
     y = np.zeros(a.nrows, dtype=np.float64)
-
-    if policy.kind is ScheduleKind.STATIC_NNZ:
-        part = partition_rows_by_nnz(a, workers)
-
-        def task(p):
-            lo, hi = part.bounds(p)
-            _accumulate_rows(a.rowptr, a.colind, a.values, x, y, lo, hi)
-
-        run_partitions(part, task)
-        return y
-
     chunk = policy.chunk_rows
-    chunks = [(lo, min(lo + chunk, a.nrows)) for lo in range(0, a.nrows, chunk)]
-    cursor = iter(chunks)
+    cursor = iter(range(0, a.nrows, chunk))
     lock = threading.Lock()
 
     def worker(_):
         while True:
             with lock:
-                nxt = next(cursor, None)
-            if nxt is None:
+                lo = next(cursor, None)
+            if lo is None:
                 return
-            _accumulate_rows(a.rowptr, a.colind, a.values, x, y, nxt[0], nxt[1])
+            _accumulate_rows(a.rowptr, a.colind, a.values, x, y,
+                             lo, min(lo + chunk, a.nrows))
 
-    if workers == 1:
-        worker(0)
-    else:
-        futures = [_shared_pool().submit(worker, w) for w in range(workers)]
-        for f in futures:
-            f.result()
+    run_partitions(workers, worker)
     return y
 
 
@@ -299,15 +270,7 @@ def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     baseline, results agree within relative 1e-10 rather than bitwise; rows
     shorter than 4 elements take the tail path and match exactly.
     """
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    if part is None:
-        part = RowPartition.whole(a.nrows)
-    _check_partition(a, part)
-    y = np.zeros(a.nrows, dtype=np.float64)
-
-    def task(p):
-        lo, hi = part.bounds(p)
+    def body(x, y, lo, hi):
         rowptr, colind, values = a.rowptr, a.colind, a.values
         for i in range(lo, hi):
             s, e = rowptr[i], rowptr[i + 1]
@@ -321,8 +284,14 @@ def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
             else:
                 y[i] = prod.sum()
 
-    run_partitions(part, task)
-    return y
+    return _row_kernel(a, x, part, body)
+
+
+def _noxmiss(a: CsrMatrix, zeroed: np.ndarray, x,
+             part: RowPartition | None) -> np.ndarray:
+    """``bench_noxmiss`` over a caller-built all-zero column index array."""
+    return _row_kernel(a, x, part,
+                       partial(_accumulate_rows, a.rowptr, zeroed, a.values))
 
 
 def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -333,20 +302,7 @@ def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     at cache-miss-latency-bound matrices.  The result intentionally
     differs from a true SpMV.
     """
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    if part is None:
-        part = RowPartition.whole(a.nrows)
-    _check_partition(a, part)
-    zeroed = np.zeros_like(a.colind)
-    y = np.zeros(a.nrows, dtype=np.float64)
-
-    def task(p):
-        lo, hi = part.bounds(p)
-        _accumulate_rows(a.rowptr, zeroed, a.values, x, y, lo, hi)
-
-    run_partitions(part, task)
-    return y
+    return _noxmiss(a, np.zeros_like(a.colind), x, part)
 
 
 def bench_inflate(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -356,20 +312,7 @@ def bench_inflate(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     changing the arithmetic; a large slowdown points at bandwidth-bound
     matrices.  y is bitwise-equal to the baseline.
     """
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    if part is None:
-        part = RowPartition.whole(a.nrows)
-    _check_partition(a, part)
-    wide = a.with_index_width(64)
-    y = np.zeros(a.nrows, dtype=np.float64)
-
-    def task(p):
-        lo, hi = part.bounds(p)
-        _accumulate_rows(wide.rowptr, wide.colind, wide.values, x, y, lo, hi)
-
-    run_partitions(part, task)
-    return y
+    return spmv_baseline(a.with_index_width(64), x, part)
 
 
 def bench_balance(a: CsrMatrix, x, part: RowPartition,
@@ -389,29 +332,26 @@ def bench_balance(a: CsrMatrix, x, part: RowPartition,
     y = np.zeros(a.nrows, dtype=np.float64)
     n_parts = len(part)
     durations = [0.0] * n_parts
-
-    if sequential or n_parts == 1:
-        for p in range(n_parts):
-            lo, hi = part.bounds(p)
-            t0 = timer()
-            _accumulate_rows(a.rowptr, a.colind, a.values, x, y, lo, hi)
-            durations[p] = timer() - t0
-        return y, durations, fmean(durations)
-
+    serial = sequential or n_parts == 1
     start = threading.Barrier(n_parts)
 
     def task(p):
         lo, hi = part.bounds(p)
-        start.wait()
+        if not serial:
+            start.wait()
         t0 = timer()
         _accumulate_rows(a.rowptr, a.colind, a.values, x, y, lo, hi)
         durations[p] = timer() - t0
 
-    # Dedicated threads: every worker must reach the barrier, which a
-    # bounded shared pool cannot guarantee.
-    threads = [threading.Thread(target=task, args=(p,)) for p in range(n_parts)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    if serial:
+        for p in range(n_parts):
+            task(p)
+    else:
+        # Dedicated threads: every worker must reach the barrier, which a
+        # bounded shared pool cannot guarantee.
+        threads = [threading.Thread(target=task, args=(p,)) for p in range(n_parts)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     return y, durations, fmean(durations)

@@ -91,14 +91,6 @@ class DecisionTree:
         return node.prediction
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
-
-
 def _best_split(X: np.ndarray, codes: np.ndarray, min_leaf: int):
     """Lowest weighted-Gini split over all features and midpoint thresholds.
 
@@ -175,10 +167,6 @@ def train_cart(d: Dataset, max_depth: int | None = None,
                         d.n_features)
 
 
-def predict_tree(t: DecisionTree, x) -> MatrixClass:
-    return t.predict(x)
-
-
 @dataclass(eq=False)
 class GaussianNB:
     """Per-class Gaussian densities with empirical priors (MAP training)."""
@@ -223,10 +211,6 @@ def train_gnb(d: Dataset, epsilon: float = 1e-9) -> GaussianNB:
         means[ci] = rows.mean(axis=0)
         variances[ci] = rows.var(axis=0) + smoothing
     return GaussianNB(list(present), priors, means, variances)
-
-
-def predict_gnb(m: GaussianNB, x) -> MatrixClass:
-    return m.predict(x)
 
 
 def loo_cv(d: Dataset, trainer: Callable[[Dataset], object]):
@@ -274,15 +258,32 @@ def _node_to_dict(node):
             "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
 
 
-def _node_from_dict(d):
+def _node_from_dict(d, n_features: int):
     try:
         if "class" in d:
             return TreeLeaf(MatrixClass[d["class"]],
                             {MatrixClass[k]: int(v) for k, v in d["counts"].items()})
-        return TreeNode(int(d["feature"]), float(d["threshold"]),
-                        _node_from_dict(d["left"]), _node_from_dict(d["right"]))
+        feature = int(d["feature"])
+        if not 0 <= feature < n_features:
+            raise ModelFormatError(f"tree node feature {feature} outside "
+                                   f"[0, {n_features})")
+        return TreeNode(feature, float(d["threshold"]),
+                        _node_from_dict(d["left"], n_features),
+                        _node_from_dict(d["right"], n_features))
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed tree node: {exc}") from exc
+
+
+def _check_gnb(m: GaussianNB, n_features: int) -> None:
+    shape = (len(m.classes), n_features)
+    if (m.priors.shape != shape[:1] or m.means.shape != shape
+            or m.variances.shape != shape):
+        raise ModelFormatError("gnb parameter shapes do not match classes x "
+                               "feature_names")
+    for name in ("priors", "variances"):
+        v = getattr(m, name)
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            raise ModelFormatError(f"gnb {name} must be finite and positive")
 
 
 def model_to_dict(m: TrainedModel) -> dict:
@@ -312,8 +313,9 @@ def model_from_dict(doc: dict) -> TrainedModel:
             f"expected {MODEL_FORMAT_VERSION}")
     try:
         if kind == "tree":
-            model = DecisionTree(_node_from_dict(params["root"]),
-                                 int(params["n_features"]))
+            n_features = int(params["n_features"])
+            model = DecisionTree(_node_from_dict(params["root"], n_features),
+                                 n_features)
         elif kind == "gnb":
             model = GaussianNB([MatrixClass[c] for c in params["classes"]],
                                np.asarray(params["priors"], dtype=np.float64),
@@ -326,8 +328,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
     m = TrainedModel(kind, names, model, format_version=version)
     if kind == "tree" and model.n_features != len(names):
         raise ModelFormatError("feature_names do not match tree width")
-    if kind == "gnb" and model.means.shape[1] != len(names):
-        raise ModelFormatError("feature_names do not match model width")
+    if kind == "gnb":
+        _check_gnb(model, len(names))
     return m
 
 

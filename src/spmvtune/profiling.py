@@ -21,8 +21,8 @@ from statistics import median
 
 import numpy as np
 
-from .csr import CsrMatrix, _accumulate_rows, partition_rows_by_nnz, run_partitions, _check_dims, _count_kernel_call
-from .kernels import bench_balance
+from .csr import CsrMatrix, partition_rows_by_nnz, spmv_baseline
+from .kernels import _noxmiss, bench_balance
 from .taxonomy import MatrixClass
 
 
@@ -102,60 +102,57 @@ def _null_timer() -> float:
     return 0.0
 
 
-def measure(a: CsrMatrix, x, workers: int = 1, reps: int = 20, warmup: int = 5,
-            timer=time.perf_counter, *, sequential: bool = False) -> BenchmarkReport:
-    """Run baseline + the three diagnostic kernels under the timing harness.
+def median_time(fn, reps: int, warmup: int, timer=time.perf_counter, *,
+                self_timed: bool = False) -> float:
+    """Median of ``reps`` timed runs of ``fn`` after ``warmup`` untimed ones.
 
-    Each kernel gets ``warmup`` untimed runs followed by ``reps`` timed
-    runs; the per-kernel statistic is the median.  Kernel setup work
-    (index zeroing, index widening, partitioning) happens outside the
-    timed regions.  Kernels are timed in a fixed order: baseline, noxmiss,
-    inflate, balance.  ``sequential=True`` makes the balance workers run
-    in partition order so injected timers observe a deterministic call
-    sequence; balance warmup runs use a null timer and consume nothing.
+    A sample is the ``timer`` difference around ``fn()``.  A ``self_timed``
+    ``fn`` reads the clock itself: it is called as ``fn(clock)`` and returns
+    its own sample.  Warmup runs get a clock that reads 0.0, so they consume
+    no ``timer`` reads.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    x = _check_dims(a, x)
+
+    def sample(clock) -> float:
+        if self_timed:
+            return fn(clock)
+        t0 = clock()
+        fn()
+        return clock() - t0
+
+    for _ in range(warmup):
+        sample(_null_timer)
+    return median([sample(timer) for _ in range(reps)])
+
+
+def measure(a: CsrMatrix, x, workers: int = 1, reps: int = 20, warmup: int = 5,
+            timer=time.perf_counter, *, sequential: bool = False) -> BenchmarkReport:
+    """Run baseline + the three diagnostic kernels under ``median_time``.
+
+    Kernel setup work (index zeroing, index widening, partitioning) happens
+    once, outside the timed regions.  Kernels are timed in a fixed order:
+    baseline, noxmiss, inflate, balance; the balance sample is the mean of
+    its per-worker times.  ``sequential=True`` makes the balance workers
+    run in partition order so injected timers observe a deterministic call
+    sequence.
+    """
     part = partition_rows_by_nnz(a, workers)
     zeroed = np.zeros_like(a.colind)
     wide = a.with_index_width(64)
 
-    def run(rowptr, colind, values):
-        _count_kernel_call()
-        y = np.zeros(a.nrows, dtype=np.float64)
+    def timed(fn, **kw) -> float:
+        return median_time(fn, reps, warmup, timer, **kw)
 
-        def task(p):
-            lo, hi = part.bounds(p)
-            _accumulate_rows(rowptr, colind, values, x, y, lo, hi)
-
-        run_partitions(part, task)
-
-    def timed(rowptr, colind, values) -> float:
-        for _ in range(warmup):
-            run(rowptr, colind, values)
-        times = []
-        for _ in range(reps):
-            t0 = timer()
-            run(rowptr, colind, values)
-            times.append(timer() - t0)
-        return median(times)
-
-    t_baseline = timed(a.rowptr, a.colind, a.values)
-    t_noxmiss = timed(a.rowptr, zeroed, a.values)
-    t_inflate = timed(wide.rowptr, wide.colind, wide.values)
-
-    for _ in range(warmup):
-        bench_balance(a, x, part, timer=_null_timer, sequential=sequential)
-    means = []
-    for _ in range(reps):
-        _, _, mean = bench_balance(a, x, part, timer=timer, sequential=sequential)
-        means.append(mean)
-    t_balance = median(means)
-
-    return BenchmarkReport(t_baseline, t_noxmiss, t_inflate, t_balance)
+    return BenchmarkReport(
+        timed(lambda: spmv_baseline(a, x, part)),
+        timed(lambda: _noxmiss(a, zeroed, x, part)),
+        timed(lambda: spmv_baseline(wide, x, part)),
+        timed(lambda clock: bench_balance(a, x, part, timer=clock,
+                                          sequential=sequential)[2],
+              self_timed=True))
 
 
 def classify_profiling(a: CsrMatrix, x=None, *, workers: int = 1,

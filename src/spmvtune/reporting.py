@@ -25,7 +25,9 @@ class SpeedupStats:
             raise ValueError("need at least one value")
         return cls(minimum=float(values.min()),
                    q1=float(np.quantile(values, 0.25)),
-                   mean=float(values.mean()),
+                   # Rounding can put the mean of near-equal values just
+                   # outside [min, max].
+                   mean=float(np.clip(values.mean(), values.min(), values.max())),
                    q3=float(np.quantile(values, 0.75)),
                    maximum=float(values.max()))
 

@@ -1,9 +1,13 @@
 import csv
 import json
+import threading
 
-from spmvtune import (CacheConfig, MatrixClass, TrainedModel, extract_features,
-                      classify_profiling, kernel_call_count, load_matrix,
-                      reset_kernel_call_count, save_model)
+import pytest
+
+from spmvtune import (AdvisorConfig, CacheConfig, MatrixClass, ThresholdConfig,
+                      TrainedModel, extract_features, classify_profiling,
+                      kernel_call_count, load_matrix, reset_kernel_call_count,
+                      save_model)
 from spmvtune.cli import main
 from spmvtune.ml import DecisionTree, TreeLeaf
 
@@ -203,6 +207,29 @@ def test_advise_missing_model_file_is_data_error(tmp_path):
                 "--model", tmp_path / "nope.json"]) == 2
 
 
+_LEAF = {"class": "CML", "counts": {"CML": 1}}
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("tree", {"n_features": 1, "root": {"feature": 99, "threshold": 0.5,
+                                        "left": _LEAF, "right": _LEAF}}),
+    ("gnb", {"classes": ["CML", "MB"], "priors": [0.5, 0.5],
+             "means": [[0.0], [1.0]], "variances": [[-1.0], [-1.0]]}),
+], ids=["tree-feature-out-of-range", "gnb-negative-variance"])
+def test_advise_invalid_model_is_one_line_data_error(tmp_path, capsys, kind, params):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps({"format_version": 1, "kind": kind,
+                                 "feature_names": ["density"],
+                                 "parameters": params}))
+    matrix = generate(tmp_path, "banded", 8, 2, 0)
+    capsys.readouterr()
+    assert run(["advise", "--matrix", matrix, "--mode", "features",
+                "--model", model]) == 2
+    captured = capsys.readouterr()
+    assert "class:" not in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_advise_unreadable_matrix_is_data_error(tmp_path):
     assert run(["advise", "--matrix", tmp_path / "missing.mtx"]) == 2
     bad = tmp_path / "bad.mtx"
@@ -397,6 +424,31 @@ def test_config_file_applies_and_flags_override(tmp_path, capsys):
     assert run(["advise", "--matrix", matrix, "--config", cfg],
                timer=FakeTimer(script)) == 0
     assert "class: CMP" in capsys.readouterr().out
+
+
+def test_config_dict_round_trip():
+    cfg = AdvisorConfig(workers=2, thresholds=ThresholdConfig(theta_mb=1.3))
+    doc = cfg.to_dict()
+    assert doc["thresholds"] == {"theta_cml": 1.4, "theta_mb": 1.3, "theta_imb": 1.15}
+    assert AdvisorConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+
+
+def test_workers_bounded_by_usable_cpus(tmp_path, monkeypatch):
+    import spmvtune.config as config_module
+    monkeypatch.setattr(config_module.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    AdvisorConfig(workers=4)
+    with pytest.raises(ValueError, match="workers"):
+        AdvisorConfig(workers=5)
+    monkeypatch.delattr(config_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(config_module.os, "cpu_count", lambda: 2)
+    AdvisorConfig(workers=8)
+    with pytest.raises(ValueError, match="workers"):
+        AdvisorConfig(workers=9)
+    matrix = generate(tmp_path, "banded", 8, 2, 0)
+    threads = threading.active_count()
+    assert run(["advise", "--matrix", matrix, "--workers", 10**6]) == 1
+    assert threading.active_count() <= threads
 
 
 def test_config_with_unknown_key_is_data_error(tmp_path):

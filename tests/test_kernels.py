@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spmvtune import (CsrMatrix, SchedulePolicy, ScheduleKind, TripletList,
-                      bench_balance, bench_inflate, bench_noxmiss,
+from spmvtune import (CsrMatrix, RowPartition, SchedulePolicy, ScheduleKind,
+                      TripletList, bench_balance, bench_inflate, bench_noxmiss,
                       csr_from_triplets, decode_delta, encode_delta,
-                      partition_rows_by_nnz, spmv_baseline, spmv_delta,
-                      spmv_prefetch, spmv_scheduled, spmv_unrolled)
+                      kernel_call_count, measure, partition_rows_by_nnz,
+                      spmv_baseline, spmv_delta, spmv_prefetch, spmv_scheduled,
+                      spmv_unrolled)
 
-from conftest import FakeTimer, random_triplets
+from conftest import FakeTimer, measure_script, random_triplets
 from oracles import expected_delta_width, row_fits_width
 
 
@@ -253,3 +254,52 @@ def test_all_variants_vs_baseline_bulk():
         assert np.array_equal(
             spmv_scheduled(a, x, SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, 3), 2), y)
         assert np.allclose(spmv_unrolled(a, x, part), y, rtol=1e-10, atol=0)
+
+
+# --- shared kernel contract -------------------------------------------------------
+
+def _scheduled(kind):
+    return lambda a, x, part: spmv_scheduled(a, x, SchedulePolicy(kind), workers=2)
+
+
+def _balance(a, x, part):
+    part = partition_rows_by_nnz(a, 2) if part is None else part
+    return bench_balance(a, x, part, sequential=True)[0]
+
+
+# (kernel(a, x, part), whether it accepts a partition)
+KERNEL_ENTRY_POINTS = {
+    "baseline": (spmv_baseline, True),
+    "delta": (lambda a, x, part: spmv_delta(encode_delta(a), x, part), True),
+    "prefetch": (spmv_prefetch, True),
+    "scheduled-static": (_scheduled(ScheduleKind.STATIC_NNZ), False),
+    "scheduled-dynamic": (_scheduled(ScheduleKind.DYNAMIC_CHUNKED), False),
+    "unrolled": (spmv_unrolled, True),
+    "noxmiss": (bench_noxmiss, True),
+    "inflate": (bench_inflate, True),
+    "balance": (_balance, True),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_ENTRY_POINTS)
+def test_kernel_entry_point_contract(matrix_e, name):
+    kernel, takes_part = KERNEL_ENTRY_POINTS[name]
+    part = partition_rows_by_nnz(matrix_e, 2)
+    before = kernel_call_count()
+    # x = ones makes noxmiss agree with the true product on this matrix
+    assert kernel(matrix_e, np.ones(4), part).tolist() == [3, 3, 0, 15]
+    assert kernel_call_count() == before + 1
+    with pytest.raises(ValueError):
+        kernel(matrix_e, np.ones(3), None)
+    if takes_part:
+        with pytest.raises(ValueError, match="cover"):
+            kernel(matrix_e, np.ones(4), RowPartition(np.array([0, 2, 3])))
+
+
+@pytest.mark.parametrize("reps,warmup", [(1, 0), (2, 3)])
+def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
+    timer = FakeTimer(measure_script(0.01, 0.01, 0.01, [0.01, 0.01], reps, 2))
+    before = kernel_call_count()
+    measure(matrix_e, np.ones(4), workers=2, reps=reps, warmup=warmup,
+            timer=timer, sequential=True)
+    assert kernel_call_count() - before == 4 * (reps + warmup)

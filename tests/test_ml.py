@@ -7,9 +7,8 @@ import pytest
 
 from spmvtune import (Dataset, GaussianNB, MatrixClass,
                       ModelFormatError, TrainedModel, load_model, loo_cv,
-                      predict_gnb, predict_tree, save_model, train_cart,
-                      train_gnb)
-from spmvtune.ml import TreeLeaf, TreeNode, model_to_dict
+                      save_model, train_cart, train_gnb)
+from spmvtune.ml import TreeLeaf, TreeNode, model_from_dict, model_to_dict
 
 A, B, C, D = MatrixClass.CML, MatrixClass.MB, MatrixClass.IMB, MatrixClass.CMP
 
@@ -39,9 +38,9 @@ def test_one_feature_split_at_midpoint():
     assert t.root.threshold == 5.5
     assert isinstance(t.root.left, TreeLeaf) and t.root.left.prediction is A
     assert isinstance(t.root.right, TreeLeaf) and t.root.right.prediction is B
-    assert predict_tree(t, [0.3]) is A
-    assert predict_tree(t, [100.0]) is B
-    assert predict_tree(t, [5.5]) is A  # boundary goes left
+    assert t.predict([0.3]) is A
+    assert t.predict([100.0]) is B
+    assert t.predict([5.5]) is A  # boundary goes left
 
 
 def test_xor_pattern_needs_depth_two():
@@ -176,9 +175,9 @@ def test_gnb_priors_reflect_counts():
 def test_gnb_prediction_follows_nearest_mean_under_equal_variance():
     m = GaussianNB([A, B], np.array([0.5, 0.5]),
                    np.array([[0.0], [10.0]]), np.array([[1.0], [1.0]]))
-    assert predict_gnb(m, [0.05]) is A
-    assert predict_gnb(m, [5.2]) is B
-    assert predict_gnb(m, [5.0]) is A  # exact midpoint ties to the lower class
+    assert m.predict([0.05]) is A
+    assert m.predict([5.2]) is B
+    assert m.predict([5.0]) is A  # exact midpoint ties to the lower class
     # hand-computed log likelihoods
     x = 0.05
     for ci, mu in enumerate((0.0, 10.0)):
@@ -280,3 +279,40 @@ def test_load_rejects_malformed_content(tmp_path):
     path.write_text(json.dumps({"format_version": 1, "kind": "tree"}))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def _tree_doc():
+    data = ds([[0.0, 5.0], [1.0, 4.0], [10.0, 3.0], [11.0, 2.0]], [A, A, B, B],
+              ("nnz_min", "bw_avg"))
+    return model_to_dict(TrainedModel("tree", data.feature_names, train_cart(data)))
+
+
+def _gnb_doc():
+    data = ds([[0.0], [0.3], [9.7], [10.0]], [A, A, D, D], ("density",))
+    return model_to_dict(TrainedModel("gnb", data.feature_names, train_gnb(data)))
+
+
+@pytest.mark.parametrize("feature", [99, 2, -1])
+def test_load_rejects_tree_feature_out_of_range(feature):
+    doc = _tree_doc()
+    doc["parameters"]["root"]["feature"] = feature
+    with pytest.raises(ModelFormatError, match="outside"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("variances", [[-1.0], [-1.0]]),
+    ("variances", [[0.0], [1.0]]),
+    ("variances", [[math.nan], [1.0]]),
+    ("priors", [0.0, 1.0]),
+    ("priors", [math.inf, 0.5]),
+    ("priors", [1.0]),
+    ("means", [[0.0, 1.0], [2.0, 3.0]]),
+    ("variances", [1.0, 1.0]),
+])
+def test_load_rejects_invalid_gnb_parameters(field, value):
+    doc = _gnb_doc()
+    model_from_dict(doc)  # the unmodified document loads
+    doc["parameters"][field] = value
+    with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
