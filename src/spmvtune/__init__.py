@@ -14,79 +14,16 @@ from .csr import (CsrMatrix, RowPartition, TripletList, csr_from_triplets,
 from .features import (FEATURE_NAMES, FEATURE_SUBSETS, CacheConfig,
                        FeatureVector, extract_features, resolve_subset,
                        select_features, working_set_bytes)
-from .generate import GENERATOR_KINDS, generate_matrix
-from .kernels import (DeltaCsrMatrix, SchedulePolicy, ScheduleKind,
-                      bench_balance, bench_inflate, bench_noxmiss,
-                      decode_delta, encode_delta, spmv_delta, spmv_prefetch,
-                      spmv_scheduled, spmv_unrolled)
-from .ml import (Dataset, DecisionTree, GaussianNB, ModelFormatError,
-                 TrainedModel, load_model, loo_cv, save_model, train_cart,
-                 train_gnb)
+from .kernels import (SchedulePolicy, ScheduleKind, bench_balance,
+                      bench_inflate, bench_noxmiss, decode_delta, encode_delta,
+                      spmv_delta, spmv_prefetch, spmv_scheduled, spmv_unrolled)
+from .ml import (Dataset, GaussianNB, ModelFormatError, TrainedModel,
+                 load_model, loo_cv, save_model, train_cart, train_gnb)
 from .mmio import (MatrixMarketError, load_matrix, parse_matrix_market,
                    read_matrix_market, write_matrix_market)
 from .profiling import (BenchmarkReport, ThresholdConfig, classify_from_report,
                         classify_profiling, measure)
-from .reporting import OverheadRecord, SpeedupStats
+from .reporting import SpeedupStats
 from .taxonomy import MatrixClass, OptimizationKind, optimization_for
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdvisorConfig",
-    "BenchmarkReport",
-    "CacheConfig",
-    "CsrMatrix",
-    "Dataset",
-    "DecisionTree",
-    "DeltaCsrMatrix",
-    "FEATURE_NAMES",
-    "FEATURE_SUBSETS",
-    "FeatureVector",
-    "GENERATOR_KINDS",
-    "GaussianNB",
-    "MatrixClass",
-    "MatrixMarketError",
-    "ModelFormatError",
-    "OptimizationKind",
-    "OverheadRecord",
-    "RowPartition",
-    "SchedulePolicy",
-    "ScheduleKind",
-    "SpeedupStats",
-    "ThresholdConfig",
-    "TrainedModel",
-    "TripletList",
-    "bench_balance",
-    "bench_inflate",
-    "bench_noxmiss",
-    "classify_from_report",
-    "classify_profiling",
-    "csr_from_triplets",
-    "decode_delta",
-    "encode_delta",
-    "extract_features",
-    "generate_matrix",
-    "kernel_call_count",
-    "load_matrix",
-    "load_model",
-    "loo_cv",
-    "measure",
-    "optimization_for",
-    "parse_matrix_market",
-    "partition_rows_by_nnz",
-    "read_matrix_market",
-    "reset_kernel_call_count",
-    "resolve_subset",
-    "save_model",
-    "select_features",
-    "spmv_baseline",
-    "spmv_delta",
-    "spmv_prefetch",
-    "spmv_scheduled",
-    "spmv_unrolled",
-    "to_dense",
-    "train_cart",
-    "train_gnb",
-    "working_set_bytes",
-    "write_matrix_market",
-]

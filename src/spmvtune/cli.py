@@ -3,8 +3,9 @@
 Subcommands: advise, train, eval, bench, report, overhead, generate.
 Exit codes: 0 success, 1 usage error, 2 data error.
 
-``main`` accepts injectable ``timer`` / ``timer_factory`` hooks so tests can
-drive every timing-dependent command deterministically; when either hook is
+``main`` accepts one injectable ``timer`` hook so tests can drive every
+timing-dependent command deterministically.  Commands that profile several
+matrices read it in corpus order (sorted file names); when the hook is
 present, timed kernels run their workers sequentially.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -21,19 +23,21 @@ import numpy as np
 
 from .config import AdvisorConfig
 from .csr import CsrMatrix, partition_rows_by_nnz, spmv_baseline
-from .features import (FEATURE_NAMES, extract_features, resolve_subset,
-                       select_features)
+from .features import (FEATURE_NAMES, FeatureVector, extract_features,
+                       resolve_subset, select_features)
 from .generate import GENERATOR_KINDS, generate_matrix
 from .kernels import (SchedulePolicy, ScheduleKind, encode_delta, spmv_delta,
                       spmv_prefetch, spmv_scheduled, spmv_unrolled)
 from .ml import (Dataset, ModelFormatError, TrainedModel, load_model, loo_cv,
                  save_model, train_cart, train_gnb)
 from .mmio import MatrixMarketError, load_matrix, write_matrix_market
-from .profiling import classify_profiling, median_time
-from .reporting import OverheadRecord, SpeedupStats
+from .profiling import BenchmarkReport, classify_profiling, median_time
+from .reporting import SpeedupStats
 from .taxonomy import MatrixClass, optimization_for
 
 VARIANTS = ("baseline", "delta", "prefetch", "dynamic", "unrolled")
+REPORT_FIELDS = ("t_baseline", "t_noxmiss", "t_inflate", "t_balance_mean",
+                 "s_cml", "s_mb", "s_imb")
 
 
 class UsageError(Exception):
@@ -144,7 +148,7 @@ def _cfg_from_args(args) -> AdvisorConfig:
         if value is not None:
             overrides[name] = value
     try:
-        return cfg.replace(**overrides) if overrides else cfg
+        return dataclasses.replace(cfg, **overrides) if overrides else cfg
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -180,6 +184,9 @@ def _read_label_file(path) -> dict[str, MatrixClass]:
         if reader.fieldnames is None or not {"matrix", "label"} <= set(reader.fieldnames):
             raise DataError(f"label file {path} needs 'matrix' and 'label' columns")
         for row in reader:
+            if row["matrix"] is None or row["label"] is None:
+                raise DataError(f"label file {path} line {reader.line_num}: "
+                                f"missing 'matrix' or 'label' cell")
             name = row["matrix"].strip()
             raw = row["label"].strip().upper()
             try:
@@ -191,45 +198,44 @@ def _read_label_file(path) -> dict[str, MatrixClass]:
     return labels
 
 
-def _resolve_labels(args, cfg, matrices, timer, timer_factory):
-    """Attach a MatrixClass to each corpus matrix, from a file or by profiling."""
-    if args.labels != "auto":
-        wanted = _read_label_file(args.labels)
-        by_name = dict(matrices)
-        for name in wanted:
-            if name not in by_name:
-                print(f"warning: label file names missing matrix {name!r}, skipping",
-                      file=sys.stderr)
-        labeled = []
-        for name, a in matrices:
-            if name in wanted:
-                labeled.append((name, a, wanted[name]))
-            else:
-                print(f"warning: no label for matrix {name!r}, skipping",
-                      file=sys.stderr)
-        return labeled
+def _profile(a: CsrMatrix, x, cfg: AdvisorConfig, timer):
+    """Profile one matrix; an injected ``timer`` makes the workers sequential."""
+    return classify_profiling(a, x, workers=cfg.workers, reps=cfg.reps,
+                              warmup=cfg.warmup, thresholds=cfg.thresholds,
+                              timer=timer or time.perf_counter,
+                              sequential=timer is not None)
 
-    injected = timer is not None or timer_factory is not None
+
+def _resolve_labels(args, cfg, matrices, timer):
+    """Attach a MatrixClass to each corpus matrix, from a file or by profiling."""
+    if args.labels == "auto":
+        return [(name, a, _profile(a, None, cfg, timer)[0]) for name, a in matrices]
+    wanted = _read_label_file(args.labels)
+    by_name = dict(matrices)
+    for name in wanted:
+        if name not in by_name:
+            print(f"warning: label file names missing matrix {name!r}, skipping",
+                  file=sys.stderr)
     labeled = []
     for name, a in matrices:
-        if timer_factory is not None:
-            t = timer_factory(name, a)
+        if name in wanted:
+            labeled.append((name, a, wanted[name]))
         else:
-            t = timer or time.perf_counter
-        cls, _ = classify_profiling(a, workers=cfg.workers, reps=cfg.reps,
-                                    warmup=cfg.warmup, thresholds=cfg.thresholds,
-                                    timer=t, sequential=injected)
-        labeled.append((name, a, cls))
+            print(f"warning: no label for matrix {name!r}, skipping",
+                  file=sys.stderr)
     return labeled
 
 
-def _labeled_dataset(labeled, cfg):
+def _labeled_corpus(args, timer):
+    """Scan and label the corpus; returns (labeled, Dataset, FeatureVectors)."""
+    cfg = _cfg_from_args(args)
+    labeled = _resolve_labels(args, cfg, _scan_corpus(args.corpus), timer)
+    if len(labeled) < 2:
+        raise DataError(f"need at least 2 labeled matrices, have {len(labeled)}")
     subset = cfg.subset_names()
-    cache = cfg.cache_config()
-    fvs = [extract_features(a, cache) for _, a, _ in labeled]
+    fvs = [extract_features(a, cfg.cache_config()) for _, a, _ in labeled]
     X = np.stack([select_features(fv, subset) for fv in fvs])
-    ds = Dataset(X, [cls for _, _, cls in labeled], subset)
-    return ds, fvs
+    return labeled, Dataset(X, [cls for _, _, cls in labeled], subset), fvs
 
 
 def _trainer(args):
@@ -239,8 +245,11 @@ def _trainer(args):
     return "gnb", lambda ds: train_gnb(ds)
 
 
-def _load_feature_model(args):
-    """Load the trained model, cross-checking an explicitly requested subset."""
+def _load_feature_model(args) -> TrainedModel | None:
+    """The trained model in features mode (None when profiling), cross-checked
+    against an explicitly requested subset."""
+    if args.mode != "features":
+        return None
     if not args.model:
         raise UsageError("features mode requires --model")
     model = load_model(args.model)
@@ -254,41 +263,30 @@ def _load_feature_model(args):
     return model
 
 
-def _predict_features(model, fv) -> MatrixClass:
+def _classify(a: CsrMatrix, x, cfg: AdvisorConfig, model: TrainedModel | None,
+              timer) -> tuple[MatrixClass, FeatureVector | BenchmarkReport]:
+    """Predict from structural features when a model is given, else profile."""
+    if model is None:
+        return _profile(a, x, cfg, timer)
+    fv = extract_features(a, cfg.cache_config())
     try:
-        x = select_features(fv, model.feature_names)
+        features = select_features(fv, model.feature_names)
     except ValueError as exc:
         raise DataError(f"model/feature-subset mismatch: {exc}") from exc
-    return model.predict(x)
+    return model.predict(features), fv
 
 
-def _cmd_advise(args, timer, timer_factory) -> int:
+def _cmd_advise(args, timer) -> int:
     cfg = _cfg_from_args(args)
     a = load_matrix(args.matrix)
-    if args.mode == "features":
-        model = _load_feature_model(args)
-        fv = extract_features(a, cfg.cache_config())
-        cls = _predict_features(model, fv)
-        evidence = [f"  {name} {getattr(fv, name):.6g}" for name in FEATURE_NAMES]
-    else:
-        t = timer or time.perf_counter
-        cls, report = classify_profiling(
-            a, _spmv_input(a, args.seed), workers=cfg.workers, reps=cfg.reps,
-            warmup=cfg.warmup, thresholds=cfg.thresholds, timer=t,
-            sequential=timer is not None)
-        evidence = [f"  t_baseline {report.t_baseline:.6g}",
-                    f"  t_noxmiss {report.t_noxmiss:.6g}",
-                    f"  t_inflate {report.t_inflate:.6g}",
-                    f"  t_balance_mean {report.t_balance_mean:.6g}",
-                    f"  s_cml {report.s_cml:.6g}",
-                    f"  s_mb {report.s_mb:.6g}",
-                    f"  s_imb {report.s_imb:.6g}"]
+    model = _load_feature_model(args)
+    cls, evidence = _classify(a, _spmv_input(a, args.seed), cfg, model, timer)
     print(f"matrix: {args.matrix} ({a.nrows}x{a.ncols}, {a.nnz} nonzeros)")
     print(f"class: {cls.name}")
     print(f"optimization: {optimization_for(cls).value}")
     print("evidence:")
-    for line in evidence:
-        print(line)
+    for name in REPORT_FIELDS if model is None else FEATURE_NAMES:
+        print(f"  {name} {getattr(evidence, name):.6g}")
     return 0
 
 
@@ -302,13 +300,8 @@ def _write_features_csv(path, labeled, fvs) -> None:
                              cls.name])
 
 
-def _cmd_train(args, timer, timer_factory) -> int:
-    cfg = _cfg_from_args(args)
-    matrices = _scan_corpus(args.corpus)
-    labeled = _resolve_labels(args, cfg, matrices, timer, timer_factory)
-    if len(labeled) < 2:
-        raise DataError(f"need at least 2 labeled matrices, have {len(labeled)}")
-    ds, fvs = _labeled_dataset(labeled, cfg)
+def _cmd_train(args, timer) -> int:
+    labeled, ds, fvs = _labeled_corpus(args, timer)
     kind, trainer = _trainer(args)
     model = TrainedModel(kind, ds.feature_names, trainer(ds))
     save_model(model, args.out)
@@ -322,13 +315,8 @@ def _cmd_train(args, timer, timer_factory) -> int:
     return 0
 
 
-def _cmd_eval(args, timer, timer_factory) -> int:
-    cfg = _cfg_from_args(args)
-    matrices = _scan_corpus(args.corpus)
-    labeled = _resolve_labels(args, cfg, matrices, timer, timer_factory)
-    if len(labeled) < 2:
-        raise DataError(f"need at least 2 labeled matrices, have {len(labeled)}")
-    ds, _ = _labeled_dataset(labeled, cfg)
+def _cmd_eval(args, timer) -> int:
+    _, ds, _ = _labeled_corpus(args, timer)
     _, trainer = _trainer(args)
     accuracy, predictions = loo_cv(ds, trainer)
     confusion = np.zeros((len(MatrixClass), len(MatrixClass)), dtype=np.int64)
@@ -344,7 +332,7 @@ def _cmd_eval(args, timer, timer_factory) -> int:
     return 0
 
 
-def _cmd_bench(args, timer, timer_factory) -> int:
+def _cmd_bench(args, timer) -> int:
     cfg = _cfg_from_args(args)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     unknown = [v for v in variants if v not in VARIANTS]
@@ -426,7 +414,7 @@ def _read_speedups(path) -> list[float]:
     return values
 
 
-def _cmd_report(args, timer, timer_factory) -> int:
+def _cmd_report(args, timer) -> int:
     values = _read_speedups(args.results)
     stats = SpeedupStats.from_values(values)
     print(f"n {len(values)}")
@@ -441,38 +429,31 @@ def _cmd_report(args, timer, timer_factory) -> int:
     return 0
 
 
-def _cmd_overhead(args, timer, timer_factory) -> int:
+def _cmd_overhead(args, timer) -> int:
     cfg = _cfg_from_args(args)
     a = load_matrix(args.matrix)
     x = _spmv_input(a, args.seed)
-    t = timer or time.perf_counter
     part = partition_rows_by_nnz(a, cfg.workers)
+    model = _load_feature_model(args)
+    t = timer or time.perf_counter
 
-    if args.mode == "features":
-        model = _load_feature_model(args)
-        t0 = t()
-        fv = extract_features(a, cfg.cache_config())
-        cls = _predict_features(model, fv)
-        t_class = t() - t0
-    else:
-        t0 = t()
-        cls, _ = classify_profiling(a, x, workers=cfg.workers, reps=cfg.reps,
-                                    warmup=cfg.warmup, thresholds=cfg.thresholds,
-                                    timer=t, sequential=timer is not None)
-        t_class = t() - t0
+    t0 = t()
+    cls, _ = _classify(a, x, cfg, model, timer)
+    t_class = t() - t0
 
     t_spmv = median_time(lambda: spmv_baseline(a, x, part), cfg.reps,
                          cfg.warmup, t)
-    record = OverheadRecord.from_times(t_class, t_spmv)
+    if t_spmv <= 0.0:
+        raise DataError("t_spmv must be positive")
     print(f"mode {args.mode}")
     print(f"class {cls.name}")
-    print(f"t_classification {record.t_classification:.6g}")
-    print(f"t_spmv {record.t_spmv:.6g}")
-    print(f"ratio {record.ratio:.6g}")
+    print(f"t_classification {t_class:.6g}")
+    print(f"t_spmv {t_spmv:.6g}")
+    print(f"ratio {t_class / t_spmv:.6g}")
     return 0
 
 
-def _cmd_generate(args, timer, timer_factory) -> int:
+def _cmd_generate(args, timer) -> int:
     try:
         triplets = generate_matrix(args.kind, args.n, args.nnz_per_row,
                                    args.seed, args.ncols)
@@ -497,14 +478,14 @@ _DISPATCH = {
 }
 
 
-def main(argv=None, *, timer=None, timer_factory=None) -> int:
+def main(argv=None, *, timer=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return _DISPATCH[args.command](args, timer, timer_factory)
+        return _DISPATCH[args.command](args, timer)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,22 +45,29 @@ class AdvisorConfig:
     def subset_names(self) -> tuple[str, ...]:
         return resolve_subset(self.feature_subset)
 
-    def replace(self, **changes) -> "AdvisorConfig":
-        return dataclasses.replace(self, **changes)
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdvisorConfig":
+        """Build from a decoded JSON object; each value must have its field's type."""
         doc = dict(doc)
-        thr = doc.pop("thresholds", None)
-        if thr is not None:
-            doc["thresholds"] = ThresholdConfig(**thr)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        thr = doc.pop("thresholds", None)
+        for name, value in doc.items():
+            # Field types are annotation strings here; a bool is not an "int".
+            if type(value).__name__ != types[name]:
+                raise ValueError(f"{name} must be of type {types[name]}, got {value!r}")
+        if thr is not None:
+            theta = [f.name for f in dataclasses.fields(ThresholdConfig)]
+            if not (isinstance(thr, dict) and set(thr) <= set(theta)
+                    and all(type(v) in (int, float) for v in thr.values())):
+                raise ValueError(f"thresholds must be an object of numbers "
+                                 f"with keys from: {', '.join(theta)}")
+            doc["thresholds"] = ThresholdConfig(**thr)
         return cls(**doc)
 
     @classmethod

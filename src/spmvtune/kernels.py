@@ -161,26 +161,12 @@ def encode_delta(a: CsrMatrix) -> DeltaCsrMatrix:
 
 
 def decode_delta(d: DeltaCsrMatrix) -> CsrMatrix:
-    """Lossless inverse of encode_delta; restores the source index width."""
-    nnz = d.nnz
-    colind = np.empty(nnz, dtype=np.int64)
-    if nnz:
-        counts = np.diff(d.rowptr).astype(np.int64)
-        nonempty = counts > 0
-        starts = d.rowptr[:-1][nonempty].astype(np.int64)
-        elem_coded = np.repeat(d.row_encoding.astype(bool), counts)
-        elem_first = np.zeros(nnz, dtype=bool)
-        elem_first[starts] = True
+    """Lossless inverse of encode_delta; restores the source index width.
 
-        # Per-row cumulative sum of [first_col, gaps...]; absolute rows get
-        # zero padding here and are overwritten below.
-        g = np.zeros(nnz, dtype=np.int64)
-        g[elem_coded & elem_first] = d.first_cols
-        g[elem_coded & ~elem_first] = d.deltas
-        cs = np.cumsum(g)
-        base = cs[starts] - g[starts]
-        colind = cs - np.repeat(base, counts[nonempty])
-        colind[~elem_coded] = d.abs_colind
+    Decodes with ``row_cols``, the same per-row decoder ``spmv_delta`` runs.
+    """
+    rows = [d.row_cols(i) for i in range(d.nrows)]
+    colind = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     width = 64 if d.rowptr.dtype == np.int64 else 32
     return CsrMatrix(d.nrows, d.ncols, d.rowptr, colind, d.values,
                      index_width=width)

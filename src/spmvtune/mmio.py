@@ -28,7 +28,8 @@ def parse_matrix_market(source) -> TripletList:
 
     Supports the ``real``, ``integer`` and ``pattern`` fields with
     ``general`` or ``symmetric`` symmetry.  1-based file indices are
-    converted to 0-based; ``pattern`` entries get value 1.0; symmetric
+    converted to 0-based; ``pattern`` entries get value 1.0.  A symmetric
+    matrix must be square and list only its lower triangle, whose
     off-diagonal entries are mirrored.
     """
     lines = _lines(source)
@@ -67,6 +68,9 @@ def parse_matrix_market(source) -> TripletList:
         raise MatrixMarketError(f"malformed size line: {size_line!r}") from None
     if nrows < 0 or ncols < 0 or declared < 0:
         raise MatrixMarketError("negative size declaration")
+    symmetric = symmetry == "symmetric"
+    if symmetric and nrows != ncols:
+        raise MatrixMarketError(f"symmetric matrix must be square, not {nrows}x{ncols}")
 
     want_value = field != "pattern"
     rows, cols, vals = [], [], []
@@ -90,10 +94,13 @@ def parse_matrix_market(source) -> TripletList:
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(
                 f"entry ({i}, {j}) outside declared {nrows}x{ncols} bounds")
+        if symmetric and i < j:
+            raise MatrixMarketError(
+                f"symmetric entry ({i}, {j}) above the diagonal")
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
-        if symmetry == "symmetric" and i != j:
+        if symmetric and i != j:
             rows.append(j - 1)
             cols.append(i - 1)
             vals.append(v)

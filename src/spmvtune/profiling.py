@@ -40,7 +40,7 @@ class ThresholdConfig:
     theta_imb: float = 1.15
 
     def __post_init__(self):
-        if min(self.theta_cml, self.theta_mb, self.theta_imb) <= 1.0:
+        if not all(t > 1.0 for t in (self.theta_cml, self.theta_mb, self.theta_imb)):
             raise ValueError("all thresholds must be > 1.0")
 
 

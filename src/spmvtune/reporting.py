@@ -1,4 +1,4 @@
-"""Summary statistics for speedup collections and classification overhead."""
+"""Summary statistics for speedup collections."""
 
 from __future__ import annotations
 
@@ -37,18 +37,3 @@ class SpeedupStats:
                 f"mean {self.mean:.6g}",
                 f"q3 {self.q3:.6g}",
                 f"max {self.maximum:.6g}"]
-
-
-@dataclass(frozen=True)
-class OverheadRecord:
-    """Classification cost expressed in units of one multithreaded SpMV."""
-
-    t_classification: float
-    t_spmv: float
-    ratio: float
-
-    @classmethod
-    def from_times(cls, t_classification: float, t_spmv: float) -> "OverheadRecord":
-        if t_spmv <= 0.0:
-            raise ValueError("t_spmv must be positive")
-        return cls(t_classification, t_spmv, t_classification / t_spmv)

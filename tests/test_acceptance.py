@@ -237,10 +237,10 @@ _KIND_SCRIPTS = {
 }
 
 
-def _kind_timer_factory(name, a):
+def _kind_script(name):
     kind = name.rsplit("_", 1)[0]
     base, nox, inf, balance = _KIND_SCRIPTS[kind]
-    return FakeTimer(measure_script(base, nox, inf, balance, reps=1, workers=2))
+    return measure_script(base, nox, inf, balance, reps=1, workers=2)
 
 
 def test_end_to_end_pipeline(tmp_path, capsys):
@@ -258,9 +258,12 @@ def test_end_to_end_pipeline(tmp_path, capsys):
     flags = ["--workers", "2", "--reps", "1", "--warmup", "0",
              "--llc-bytes", "4096"]
     model_path = tmp_path / "model.json"
+    # the corpus is profiled in sorted file-name order
+    timer = FakeTimer([d for path in sorted(corpus.glob("*.mtx"))
+                       for d in _kind_script(path.stem)])
     assert main(["train", "--corpus", str(corpus), "--labels", "auto",
                  "--classifier", "tree", "--out", str(model_path), *flags],
-                timer_factory=_kind_timer_factory) == 0
+                timer=timer) == 0
     features_csv = tmp_path / "model.features.csv"
     with open(features_csv) as fh:
         rows = list(csv.DictReader(fh))

@@ -4,10 +4,10 @@ import threading
 
 import pytest
 
-from spmvtune import (AdvisorConfig, CacheConfig, MatrixClass, ThresholdConfig,
-                      TrainedModel, extract_features, classify_profiling,
-                      kernel_call_count, load_matrix, reset_kernel_call_count,
-                      save_model)
+from spmvtune import (AdvisorConfig, CacheConfig, FEATURE_NAMES, MatrixClass,
+                      ThresholdConfig, TrainedModel, extract_features,
+                      classify_profiling, kernel_call_count, load_matrix,
+                      reset_kernel_call_count, save_model)
 from spmvtune.cli import main
 from spmvtune.ml import DecisionTree, TreeLeaf
 
@@ -164,7 +164,10 @@ def test_advise_features_recommends_from_stub_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "class: MB" in out
     assert "optimization: column index compression through delta coding" in out
-    assert "density" in out  # evidence lists the extracted features
+    # evidence lists every extracted feature, in FEATURE_NAMES order
+    fv = extract_features(load_matrix(matrix), AdvisorConfig().cache_config())
+    assert out.endswith("evidence:\n" + "".join(
+        f"  {name} {getattr(fv, name):.6g}\n" for name in FEATURE_NAMES))
 
 
 def test_advise_profiling_scripted_cmp(tmp_path, capsys):
@@ -178,7 +181,14 @@ def test_advise_profiling_scripted_cmp(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "class: CMP" in out
     assert "optimization: inner loop unrolling + vectorization" in out
-    assert "s_cml" in out
+    assert out.endswith("evidence:\n"
+                        "  t_baseline 0.01\n"
+                        "  t_noxmiss 0.0099\n"
+                        "  t_inflate 0.0101\n"
+                        "  t_balance_mean 0.01\n"
+                        "  s_cml 1.0101\n"
+                        "  s_mb 1.01\n"
+                        "  s_imb 1\n")
 
 
 def test_advise_subset_conflicting_with_model_is_data_error(tmp_path):
@@ -306,6 +316,15 @@ def test_train_rejects_unknown_label_names(tmp_path):
                 "--out", tmp_path / "m.json"]) == 2
 
 
+def test_label_file_row_with_missing_cell_is_one_line_data_error(tmp_path, capsys):
+    corpus, labels = _label_corpus(tmp_path)
+    labels.write_text("matrix,label\nbanded_0\n")
+    assert run(["train", "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_train_skips_unparseable_matrices_with_warning(tmp_path, capsys):
     corpus, labels = _label_corpus(tmp_path)
     (corpus / "broken.mtx").write_text("junk\n")
@@ -325,12 +344,11 @@ def test_train_auto_labels_match_direct_classification(tmp_path):
         "b": measure_script(0.010, 0.004, 0.0101, [0.010, 0.010], 1, 2),  # CML
     }
 
-    def factory(name, a):
-        return FakeTimer(scripts[name])
-
+    # the corpus is profiled in sorted file-name order
     model_path = tmp_path / "auto.json"
     assert run(["train", "--corpus", corpus, "--labels", "auto",
-                "--out", model_path, *FAST], timer_factory=factory) == 0
+                "--out", model_path, *FAST],
+               timer=FakeTimer(scripts["a"] + scripts["b"])) == 0
     with open(tmp_path / "auto.features.csv") as fh:
         got = {r["matrix"]: r["label"] for r in csv.DictReader(fh)}
 
@@ -397,6 +415,17 @@ def test_overhead_scripted_ratio(tmp_path, capsys):
     assert "ratio 16\n" in out
 
 
+def test_overhead_zero_spmv_time_is_data_error(tmp_path, capsys):
+    matrix = generate(tmp_path, "banded", 16, 3, 0)
+    model = stub_model_path(tmp_path)
+    capsys.readouterr()
+    assert run(["overhead", "--matrix", matrix, "--mode", "features",
+                "--model", model, *FAST], timer=FakeTimer([0.32, 0.0])) == 2
+    captured = capsys.readouterr()
+    assert "ratio" not in captured.out
+    assert captured.err == "error: t_spmv must be positive\n"
+
+
 # --- config -----------------------------------------------------------------------
 
 def test_speedup_stats_are_ordered():
@@ -456,6 +485,30 @@ def test_config_with_unknown_key_is_data_error(tmp_path):
     cfg.write_text(json.dumps({"turbo": True}))
     matrix = generate(tmp_path, "banded", 8, 2, 0)
     assert run(["advise", "--matrix", matrix, "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"thresholds": 5},
+    {"thresholds": {"bogus": 1}},
+    {"thresholds": {"theta_mb": "1.3"}},
+    {"workers": "4"},
+    {"workers": 1.5},
+    {"workers": True},
+    {"reps": 2.5},
+    {"feature_subset": 7},
+], ids=["thresholds-number", "thresholds-unknown-key", "threshold-string",
+        "workers-string", "workers-float", "workers-bool", "reps-float",
+        "subset-number"])
+def test_config_with_wrong_typed_value_is_one_line_data_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    matrix = generate(tmp_path, "banded", 8, 2, 0)
+    capsys.readouterr()
+    assert run(["advise", "--matrix", matrix, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad config file ")
+    assert captured.err.count("\n") == 1
 
 
 def test_bad_subset_flag_is_usage_error(tmp_path):

@@ -82,6 +82,9 @@ def test_parse_skips_comments_and_blank_lines():
     "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
     "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 2.0\n",
     "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+    "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 2 1.0\n2 1 1.0\n",
+    "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 2\n",
+    "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n2 1 1.0\n",
 ])
 def test_parse_rejects_bad_input(text):
     with pytest.raises(MatrixMarketError):

@@ -33,6 +33,8 @@ def test_report_rejects_nonpositive_times():
 def test_thresholds_must_exceed_one():
     with pytest.raises(ValueError):
         ThresholdConfig(theta_cml=1.0)
+    with pytest.raises(ValueError):  # NaN compares false: it would never fire
+        ThresholdConfig(theta_mb=math.nan)
 
 
 # --- cascade --------------------------------------------------------------------
