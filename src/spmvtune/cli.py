@@ -188,6 +188,9 @@ def _read_label_file(path) -> dict[str, MatrixClass]:
                 raise DataError(f"label file {path} line {reader.line_num}: "
                                 f"missing 'matrix' or 'label' cell")
             name = row["matrix"].strip()
+            if name in labels:
+                raise DataError(f"label file {path} line {reader.line_num}: "
+                                f"matrix {name!r} is labelled twice")
             raw = row["label"].strip().upper()
             try:
                 labels[name] = MatrixClass[raw]

@@ -25,11 +25,6 @@ _INDEX_DTYPES = {32: np.int32, 64: np.int64}
 _kernel_calls = 0
 
 
-def _count_kernel_call() -> None:
-    global _kernel_calls
-    _kernel_calls += 1
-
-
 def kernel_call_count() -> int:
     """Number of SpMV-style kernel executions since the last reset."""
     return _kernel_calls
@@ -119,12 +114,9 @@ class CsrMatrix:
         if nnz:
             if self.colind.min() < 0 or self.colind.max() >= self.ncols:
                 raise ValueError("column index out of range")
-            # Strict increase within each row: every adjacent pair that does
-            # not straddle a row boundary must step forward.
-            starts = np.zeros(nnz, dtype=bool)
-            starts[self.rowptr[:-1][np.diff(self.rowptr) > 0]] = True
-            interior = ~starts[1:]
-            if np.any(np.diff(self.colind.astype(np.int64))[interior] <= 0):
+            gap, starts = self.col_gaps()
+            gap[starts] = 1  # a row's first column follows no other
+            if np.any(gap <= 0):
                 raise ValueError("column indices must be strictly increasing per row")
 
     @property
@@ -138,6 +130,18 @@ class CsrMatrix:
 
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.rowptr).astype(np.int64)
+
+    def col_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-row column steps and the offset of each nonempty row's start.
+
+        Returns ``(gap, starts)``: ``gap[j]`` is ``colind[j] - colind[j - 1]``
+        inside a row, and the absolute column at each offset in ``starts``.
+        """
+        col = self.colind.astype(np.int64)
+        starts = self.rowptr[:-1][np.diff(self.rowptr) > 0].astype(np.int64)
+        gap = np.diff(col, prepend=0)
+        gap[starts] = col[starts]
+        return gap, starts
 
     def with_index_width(self, width: int) -> "CsrMatrix":
         return CsrMatrix(self.nrows, self.ncols, self.rowptr, self.colind,
@@ -185,25 +189,15 @@ class RowPartition:
         return int(self.boundaries[p]), int(self.boundaries[p + 1])
 
 
-def parse_triplets_sorted(t: TripletList):
-    """Row-major sort with duplicate (row, col) entries summed."""
-    order = np.lexsort((t.cols, t.rows))
-    rows, cols, vals = t.rows[order], t.cols[order], t.vals[order]
-    if rows.size:
-        fresh = np.empty(rows.size, dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        idx = np.flatnonzero(fresh)
-        vals = np.add.reduceat(vals, idx)
-        rows, cols = rows[idx], cols[idx]
-    return rows, cols, vals
-
-
 def csr_from_triplets(t: TripletList, index_width: int = 32) -> CsrMatrix:
     """Build a CSR matrix: entries sorted by (row, col), duplicates summed."""
-    rows, cols, vals = parse_triplets_sorted(t)
-    counts = np.bincount(rows, minlength=t.nrows) if rows.size else np.zeros(t.nrows, dtype=np.int64)
-    rowptr = np.concatenate(([0], np.cumsum(counts)))
+    order = np.lexsort((t.cols, t.rows))
+    rows, cols, vals = t.rows[order], t.cols[order], t.vals[order]
+    fresh = np.ones(rows.size, dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    idx = np.flatnonzero(fresh)
+    rows, cols, vals = rows[idx], cols[idx], np.add.reduceat(vals, idx)
+    rowptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=t.nrows))))
     return CsrMatrix(t.nrows, t.ncols, rowptr, cols, vals, index_width=index_width)
 
 
@@ -249,18 +243,6 @@ def _accumulate_rows(rowptr, colind, values, x, y, lo: int, hi: int) -> None:
             y[i] = (values[s:e] * x[colind[s:e]]).sum()
 
 
-def _check_dims(a, x) -> np.ndarray:
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape != (a.ncols,):
-        raise ValueError(f"x has length {x.shape}, expected ({a.ncols},)")
-    return x
-
-
-def _check_partition(a, part: RowPartition) -> None:
-    if int(part.boundaries[-1]) != a.nrows:
-        raise ValueError("partition does not cover all matrix rows")
-
-
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -276,32 +258,52 @@ def _shared_pool() -> ThreadPoolExecutor:
     return _pool
 
 
-def run_partitions(n: int, task) -> None:
-    """Run ``task(p)`` for every p in ``range(n)``, concurrently when there
-    are several.  Tasks must write disjoint output slices; all of them
-    complete before this returns."""
-    if n == 1:
-        task(0)
-        return
-    # list() propagates worker exceptions.
-    list(_shared_pool().map(task, range(n)))
+def run_partitions(n: int, task, workers: int | None = None) -> None:
+    """Run ``task(p)`` for every p in ``range(n)``.
+
+    ``workers`` threads (default ``n``) each claim the next unclaimed p from
+    a shared counter until none is left, so no worker idles while work
+    remains.  Tasks must write disjoint output slices; all of them complete
+    before this returns.
+    """
+    workers = n if workers is None else min(workers, n)
+    claims = iter(range(n))
+    lock = threading.Lock()
+
+    def worker(_):
+        while True:
+            with lock:
+                p = next(claims, None)
+            if p is None:
+                return
+            task(p)
+
+    if workers <= 1:
+        worker(0)
+    else:  # list() propagates worker exceptions.
+        list(_shared_pool().map(worker, range(workers)))
 
 
-def _row_kernel(a, x, part: RowPartition | None, body) -> np.ndarray:
-    """Shared driver of the row kernels.
+def _row_kernel(a, x, part: RowPartition | None, body,
+                run=run_partitions) -> np.ndarray:
+    """The one driver of every kernel entry point.
 
     Counts the call, checks ``x`` and the partition (the whole matrix when
-    ``part`` is None), allocates ``y`` and runs ``body(x, y, lo, hi)`` once
-    per partition, concurrently when there are several.  ``body`` fills
-    ``y[lo:hi]`` and is the one place a kernel differs from the baseline.
+    ``part`` is None), allocates ``y`` and calls ``run(len(part), task)``,
+    where ``task(p)`` runs ``body(x, y, lo, hi)`` over partition p.  ``body``
+    fills ``y[lo:hi]``; ``run`` schedules the tasks.
     """
-    _count_kernel_call()
-    x = _check_dims(a, x)
+    global _kernel_calls
+    _kernel_calls += 1
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (a.ncols,):
+        raise ValueError(f"x has length {x.shape}, expected ({a.ncols},)")
     if part is None:
         part = RowPartition.whole(a.nrows)
-    _check_partition(a, part)
+    if int(part.boundaries[-1]) != a.nrows:
+        raise ValueError("partition does not cover all matrix rows")
     y = np.zeros(a.nrows, dtype=np.float64)
-    run_partitions(len(part), lambda p: body(x, y, *part.bounds(p)))
+    run(len(part), lambda p: body(x, y, *part.bounds(p)))
     return y
 
 

@@ -28,28 +28,8 @@ import numpy as np
 
 from .csr import CsrMatrix
 
-FEATURE_NAMES = (
-    "size", "density",
-    "nnz_min", "nnz_max", "nnz_avg", "nnz_sd",
-    "bw_min", "bw_max", "bw_avg", "bw_sd",
-    "dispersion_avg", "dispersion_sd",
-    "clustering", "miss_ratio",
-)
-
-# Per-platform feature subsets that worked well in practice.  "tree"
-# presets feed the decision tree, "nb" presets the Gaussian naive Bayes;
-# manycore targets have far more threads and costlier cache misses than
-# multicore ones.
-FEATURE_SUBSETS: dict[str, tuple[str, ...]] = {
-    "all": FEATURE_NAMES,
-    "manycore-tree": ("size", "bw_avg", "bw_sd", "nnz_min", "nnz_max",
-                      "nnz_avg", "nnz_sd", "miss_ratio", "dispersion_sd"),
-    "manycore-nb": ("nnz_min", "nnz_max", "nnz_sd", "bw_avg",
-                    "dispersion_avg", "dispersion_sd"),
-    "multicore-tree": ("size", "bw_avg", "bw_sd", "nnz_min", "nnz_max",
-                       "nnz_avg", "nnz_sd", "dispersion_sd", "miss_ratio"),
-    "multicore-nb": ("size", "nnz_min", "nnz_max"),
-}
+# Matrix values are float64: CsrMatrix stores them as such.
+_VALUE_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -62,21 +42,20 @@ class CacheConfig:
 
     llc_bytes: int
     cacheline_bytes: int = 64
-    value_bytes: int = 8
     index_bytes: int | None = None
 
     def __post_init__(self):
-        if self.llc_bytes <= 0 or self.cacheline_bytes <= 0 or self.value_bytes <= 0:
+        if self.llc_bytes <= 0 or self.cacheline_bytes <= 0:
             raise ValueError("cache parameters must be positive")
-        if self.cacheline_bytes % self.value_bytes:
-            raise ValueError("cacheline_bytes must be divisible by value_bytes")
+        if self.cacheline_bytes % _VALUE_BYTES:
+            raise ValueError(f"cacheline_bytes must be divisible by {_VALUE_BYTES}")
         if self.index_bytes is not None and self.index_bytes <= 0:
             raise ValueError("index_bytes must be positive")
 
     @property
     def line_values(self) -> int:
         """Number of matrix values that fit in one cache line."""
-        return self.cacheline_bytes // self.value_bytes
+        return self.cacheline_bytes // _VALUE_BYTES
 
 
 @dataclass(frozen=True)
@@ -111,14 +90,29 @@ class FeatureVector:
         return out.getvalue()
 
 
-assert tuple(f.name for f in fields(FeatureVector)) == FEATURE_NAMES
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+
+# Per-platform feature subsets that worked well in practice.  "tree"
+# presets feed the decision tree, "nb" presets the Gaussian naive Bayes;
+# manycore targets have far more threads and costlier cache misses than
+# multicore ones.
+FEATURE_SUBSETS: dict[str, tuple[str, ...]] = {
+    "all": FEATURE_NAMES,
+    "manycore-tree": ("size", "bw_avg", "bw_sd", "nnz_min", "nnz_max",
+                      "nnz_avg", "nnz_sd", "miss_ratio", "dispersion_sd"),
+    "manycore-nb": ("nnz_min", "nnz_max", "nnz_sd", "bw_avg",
+                    "dispersion_avg", "dispersion_sd"),
+    "multicore-tree": ("size", "bw_avg", "bw_sd", "nnz_min", "nnz_max",
+                       "nnz_avg", "nnz_sd", "dispersion_sd", "miss_ratio"),
+    "multicore-nb": ("size", "nnz_min", "nnz_max"),
+}
 
 
 def working_set_bytes(a: CsrMatrix, cfg: CacheConfig) -> int:
     """Bytes touched by one SpMV: nonzeros, indices and both dense vectors."""
     ib = cfg.index_bytes if cfg.index_bytes is not None else a.index_width // 8
-    return (cfg.value_bytes * a.nnz + ib * a.nnz + ib * (a.nrows + 1)
-            + cfg.value_bytes * (a.nrows + a.ncols))
+    return (_VALUE_BYTES * a.nnz + ib * a.nnz + ib * (a.nrows + 1)
+            + _VALUE_BYTES * (a.nrows + a.ncols))
 
 
 def extract_features(a: CsrMatrix, cfg: CacheConfig) -> FeatureVector:
@@ -135,20 +129,14 @@ def extract_features(a: CsrMatrix, cfg: CacheConfig) -> FeatureVector:
     misses_total = 0
 
     if nnz:
-        col = a.colind.astype(np.int64)
-        starts = a.rowptr[:-1][nonempty].astype(np.int64)
+        # The group/miss rules below never look at a row's first gap, which
+        # holds its absolute column.
+        gap, starts = a.col_gaps()
         ends = a.rowptr[1:][nonempty].astype(np.int64)
-        span = (col[ends - 1] - col[starts]).astype(np.float64)
+        span = (a.colind[ends - 1] - a.colind[starts]).astype(np.float64)
         bw[nonempty] = span
         disp[nonempty] = counts[nonempty] / (span + 1.0)
 
-        # gap[j] holds the in-row column step at element j; at the first
-        # element of each row it holds the absolute column instead, which
-        # the group/miss rules below never look at.
-        gap = np.empty(nnz, dtype=np.int64)
-        gap[0] = col[0]
-        gap[1:] = col[1:] - col[:-1]
-        gap[starts] = col[starts]
         first_elem = np.zeros(nnz, dtype=bool)
         first_elem[starts] = True
 

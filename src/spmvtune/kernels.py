@@ -19,8 +19,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .csr import (CsrMatrix, RowPartition, _accumulate_rows, _check_dims,
-                  _check_partition, _count_kernel_call, _row_kernel,
+from .csr import (CsrMatrix, RowPartition, _accumulate_rows, _row_kernel,
                   partition_rows_by_nnz, run_partitions, spmv_baseline)
 
 _DELTA_LIMITS = {8: 255, 16: 65535}
@@ -52,9 +51,10 @@ class DeltaCsrMatrix:
 
     One narrow width (8- or 16-bit) applies matrix-wide; rows whose first
     column or in-row gaps exceed that width keep absolute 32-bit indices
-    and have their ``row_encoding`` flag cleared.  Delta-coded rows store
-    an absolute first column plus ``nnz - 1`` packed gaps, so every row
-    decodes independently of its neighbours.
+    and have their ``row_encoding`` flag cleared.  A delta-coded row stores
+    ``nnz`` narrow codes: its absolute first column, then the gap to each
+    following column, so every row decodes independently of its
+    neighbours as the running sum of its codes.
     """
 
     nrows: int
@@ -63,11 +63,9 @@ class DeltaCsrMatrix:
     values: np.ndarray
     delta_width: int
     row_encoding: np.ndarray   # bool per row, True = delta coded
-    first_cols: np.ndarray     # int32, one per delta-coded nonempty row
-    deltas: np.ndarray         # uint8/uint16 column gaps of delta-coded rows
+    deltas: np.ndarray         # uint8/uint16 codes of the delta-coded rows
     abs_colind: np.ndarray     # int32 absolute indices of the remaining rows
 
-    _first_ofs: np.ndarray = field(init=False, repr=False)
     _delta_ofs: np.ndarray = field(init=False, repr=False)
     _abs_ofs: np.ndarray = field(init=False, repr=False)
 
@@ -76,14 +74,9 @@ class DeltaCsrMatrix:
             raise ValueError("delta_width must be 8 or 16")
         counts = np.diff(self.rowptr).astype(np.int64)
         coded = self.row_encoding.astype(bool)
-        first_counts = (coded & (counts > 0)).astype(np.int64)
-        delta_counts = np.where(coded & (counts > 0), counts - 1, 0)
-        abs_counts = np.where(coded, 0, counts)
-        self._first_ofs = np.concatenate(([0], np.cumsum(first_counts)))
-        self._delta_ofs = np.concatenate(([0], np.cumsum(delta_counts)))
-        self._abs_ofs = np.concatenate(([0], np.cumsum(abs_counts)))
-        if (self.first_cols.size != self._first_ofs[-1]
-                or self.deltas.size != self._delta_ofs[-1]
+        self._delta_ofs = np.concatenate(([0], np.cumsum(np.where(coded, counts, 0))))
+        self._abs_ofs = np.concatenate(([0], np.cumsum(np.where(coded, 0, counts))))
+        if (self.deltas.size != self._delta_ofs[-1]
                 or self.abs_colind.size != self._abs_ofs[-1]):
             raise ValueError("index array lengths inconsistent with row encoding")
 
@@ -93,8 +86,8 @@ class DeltaCsrMatrix:
 
     @property
     def index_bytes(self) -> int:
-        """Bytes spent on column-index storage (first cols, gaps, absolutes)."""
-        return self.first_cols.nbytes + self.deltas.nbytes + self.abs_colind.nbytes
+        """Bytes spent on column-index storage (narrow codes and absolutes)."""
+        return self.deltas.nbytes + self.abs_colind.nbytes
 
     def row_cols(self, i: int) -> np.ndarray:
         """Absolute column indices of row i, reconstructed if delta coded."""
@@ -102,15 +95,8 @@ class DeltaCsrMatrix:
         if not self.row_encoding[i]:
             a = self._abs_ofs[i]
             return self.abs_colind[a:a + k].astype(np.int64)
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        out = np.empty(k, dtype=np.int64)
-        out[0] = self.first_cols[self._first_ofs[i]]
-        if k > 1:
-            d = self._delta_ofs[i]
-            np.cumsum(self.deltas[d:d + k - 1], dtype=np.int64, out=out[1:])
-            out[1:] += out[0]
-        return out
+        d = self._delta_ofs[i]
+        return np.cumsum(self.deltas[d:d + k], dtype=np.int64)
 
 
 def encode_delta(a: CsrMatrix) -> DeltaCsrMatrix:
@@ -123,41 +109,21 @@ def encode_delta(a: CsrMatrix) -> DeltaCsrMatrix:
     """
     n = a.nrows
     counts = a.row_nnz()
-    nonempty = counts > 0
-    nnz = a.nnz
-
+    gap, starts = a.col_gaps()
     req = np.zeros(n, dtype=np.int64)
-    gap = np.empty(0, dtype=np.int64)
-    starts = np.empty(0, dtype=np.int64)
-    if nnz:
-        col = a.colind.astype(np.int64)
-        starts = a.rowptr[:-1][nonempty].astype(np.int64)
-        gap = np.empty(nnz, dtype=np.int64)
-        gap[0] = col[0]
-        gap[1:] = col[1:] - col[:-1]
-        gap[starts] = col[starts]  # first element carries the absolute column
-        req[nonempty] = np.maximum.reduceat(gap, starts)
+    if a.nnz:
+        req[counts > 0] = np.maximum.reduceat(gap, starts)
 
     codable8 = req <= _DELTA_LIMITS[8]
     width = 8 if (n == 0 or codable8.mean() >= _DELTA_CODABLE_FRACTION) else 16
     coded = req <= _DELTA_LIMITS[width]
 
-    if nnz:
-        first_rows = coded & nonempty
-        first_cols = a.colind[a.rowptr[:-1][first_rows]].astype(np.int32)
-        elem_coded = np.repeat(coded, counts)
-        elem_first = np.zeros(nnz, dtype=bool)
-        elem_first[starts] = True
-        deltas = gap[elem_coded & ~elem_first].astype(_DELTA_DTYPES[width])
-        abs_colind = a.colind[~elem_coded].astype(np.int32)
-    else:
-        first_cols = np.empty(0, dtype=np.int32)
-        deltas = np.empty(0, dtype=_DELTA_DTYPES[width])
-        abs_colind = np.empty(0, dtype=np.int32)
-
+    elem_coded = np.repeat(coded, counts)
+    deltas = gap[elem_coded].astype(_DELTA_DTYPES[width])
+    abs_colind = a.colind[~elem_coded].astype(np.int32)
     # rowptr keeps the source dtype so decoding restores the index width.
     return DeltaCsrMatrix(n, a.ncols, a.rowptr, a.values,
-                          width, coded, first_cols, deltas, abs_colind)
+                          width, coded, deltas, abs_colind)
 
 
 def decode_delta(d: DeltaCsrMatrix) -> CsrMatrix:
@@ -219,32 +185,20 @@ def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
     """SpMV under a scheduling policy; y equals the baseline exactly.
 
     ``static_nnz`` is the baseline over the nonzero-balanced partition.
-    ``dynamic_chunked`` hands out fixed-size row chunks from a shared
-    queue, so no worker idles while unclaimed chunks remain.
+    ``dynamic_chunked`` splits the rows into ``chunk_rows``-row ranges that
+    ``workers`` threads claim one at a time, so no worker idles while
+    unclaimed chunks remain.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if policy.kind is ScheduleKind.STATIC_NNZ:
         return spmv_baseline(a, x, partition_rows_by_nnz(a, workers))
-
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    y = np.zeros(a.nrows, dtype=np.float64)
-    chunk = policy.chunk_rows
-    cursor = iter(range(0, a.nrows, chunk))
-    lock = threading.Lock()
-
-    def worker(_):
-        while True:
-            with lock:
-                lo = next(cursor, None)
-            if lo is None:
-                return
-            _accumulate_rows(a.rowptr, a.colind, a.values, x, y,
-                             lo, min(lo + chunk, a.nrows))
-
-    run_partitions(workers, worker)
-    return y
+    # The leading 0 keeps one (empty) chunk when the matrix has no rows.
+    chunks = RowPartition(np.r_[0, np.arange(policy.chunk_rows, a.nrows,
+                                             policy.chunk_rows), a.nrows])
+    return _row_kernel(a, x, chunks,
+                       partial(_accumulate_rows, a.rowptr, a.colind, a.values),
+                       partial(run_partitions, workers=workers))
 
 
 def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -312,32 +266,31 @@ def bench_balance(a: CsrMatrix, x, part: RowPartition,
     ``sequential=True`` runs the workers one after another in partition
     order so that injected timers see a deterministic call sequence.
     """
-    _count_kernel_call()
-    x = _check_dims(a, x)
-    _check_partition(a, part)
-    y = np.zeros(a.nrows, dtype=np.float64)
-    n_parts = len(part)
-    durations = [0.0] * n_parts
-    serial = sequential or n_parts == 1
-    start = threading.Barrier(n_parts)
+    durations = [0.0] * len(part)
 
-    def task(p):
-        lo, hi = part.bounds(p)
-        if not serial:
-            start.wait()
-        t0 = timer()
-        _accumulate_rows(a.rowptr, a.colind, a.values, x, y, lo, hi)
-        durations[p] = timer() - t0
+    def run(n, task):
+        serial = sequential or n == 1
+        start = threading.Barrier(n)
 
-    if serial:
-        for p in range(n_parts):
+        def timed(p):
+            if not serial:
+                start.wait()
+            t0 = timer()
             task(p)
-    else:
+            durations[p] = timer() - t0
+
+        if serial:
+            for p in range(n):
+                timed(p)
+            return
         # Dedicated threads: every worker must reach the barrier, which a
         # bounded shared pool cannot guarantee.
-        threads = [threading.Thread(target=task, args=(p,)) for p in range(n_parts)]
+        threads = [threading.Thread(target=timed, args=(p,)) for p in range(n)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+
+    y = _row_kernel(a, x, part,
+                    partial(_accumulate_rows, a.rowptr, a.colind, a.values), run)
     return y, durations, fmean(durations)

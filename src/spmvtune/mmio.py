@@ -17,10 +17,12 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def _lines(source):
-    if isinstance(source, str):
-        return iter(io.StringIO(source))
-    return iter(source)
+def _content(lines):
+    """The stripped lines that are neither blank nor ``%`` comments."""
+    for line in lines:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("%"):
+            yield stripped
 
 
 def parse_matrix_market(source) -> TripletList:
@@ -32,7 +34,7 @@ def parse_matrix_market(source) -> TripletList:
     matrix must be square and list only its lower triangle, whose
     off-diagonal entries are mirrored.
     """
-    lines = _lines(source)
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     try:
         banner = next(lines)
     except StopIteration:
@@ -50,13 +52,8 @@ def parse_matrix_market(source) -> TripletList:
     if symmetry not in _SYMMETRIES:
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
-    size_line = None
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
+    body = _content(lines)
+    size_line = next(body, None)
     if size_line is None:
         raise MatrixMarketError("missing size line")
     parts = size_line.split()
@@ -75,10 +72,7 @@ def parse_matrix_market(source) -> TripletList:
     want_value = field != "pattern"
     rows, cols, vals = [], [], []
     seen = 0
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+    for stripped in body:
         seen += 1
         if seen > declared:
             raise MatrixMarketError(

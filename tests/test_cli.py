@@ -2,12 +2,14 @@ import csv
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from spmvtune import (AdvisorConfig, CacheConfig, FEATURE_NAMES, MatrixClass,
                       ThresholdConfig, TrainedModel, extract_features,
                       classify_profiling, kernel_call_count, load_matrix,
                       reset_kernel_call_count, save_model)
+from spmvtune import cli
 from spmvtune.cli import main
 from spmvtune.ml import DecisionTree, TreeLeaf
 
@@ -134,6 +136,16 @@ def test_bench_best_dominates_all_speedups(tmp_path, capsys):
                 for line in out.splitlines() if line.startswith("variant ")}
     best = out.splitlines()[-1].split()[1]
     assert speedups[best] == max(speedups.values())
+
+
+def test_bench_variant_off_by_one_ulp_fails_the_gate(tmp_path, capsys, monkeypatch):
+    matrix = generate(tmp_path, "banded", 16, 3, 0)
+    right = cli.spmv_prefetch
+    monkeypatch.setattr(cli, "spmv_prefetch",
+                        lambda *args: np.nextafter(right(*args), np.inf))
+    assert run(["bench", "--matrix", matrix, "--variants", "baseline,prefetch",
+                *FAST], timer=FakeTimer([0.01, 0.01])) == 2
+    assert "disagrees with baseline" in capsys.readouterr().err
 
 
 def test_bench_unknown_variant_is_usage_error(tmp_path):
@@ -323,6 +335,16 @@ def test_label_file_row_with_missing_cell_is_one_line_data_error(tmp_path, capsy
                 "--out", tmp_path / "m.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_label_file_naming_a_matrix_twice_is_one_line_data_error(tmp_path, capsys):
+    corpus, labels = _label_corpus(tmp_path)
+    labels.write_text("matrix,label\nbanded_0,MB\nbanded_1,CML\nbanded_0,CMP\n")
+    assert run(["train", "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(labels) in err and "line 4" in err and "'banded_0'" in err
 
 
 def test_train_skips_unparseable_matrices_with_warning(tmp_path, capsys):

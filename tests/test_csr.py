@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from spmvtune import (CsrMatrix, MatrixMarketError, TripletList,
                       csr_from_triplets, parse_matrix_market,
                       partition_rows_by_nnz, spmv_baseline, to_dense,
                       write_matrix_market, read_matrix_market)
+from spmvtune.csr import run_partitions
 
 from conftest import random_triplets
 from oracles import dense_from_triplets, dense_matvec
@@ -85,6 +88,13 @@ def test_parse_skips_comments_and_blank_lines():
     "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 2 1.0\n2 1 1.0\n",
     "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 2\n",
     "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n2 1 1.0\n",
+    "",
+    "%%MatrixMarket matrix coordinate real general\n",
+    "%%MatrixMarket matrix coordinate real general\n2 2\n",
+    "%%MatrixMarket matrix coordinate real general\na 2 1\n1 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real general\n-1 2 0\n",
+    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n",
+    "%%MatrixMarket vector coordinate real general\n2 2 1\n1 1 1.0\n",
 ])
 def test_parse_rejects_bad_input(text):
     with pytest.raises(MatrixMarketError):
@@ -232,3 +242,19 @@ def test_to_dense_reference(matrix_e):
 def test_to_dense_empty():
     a = csr_from_triplets(TripletList.from_entries(3, 3, []))
     assert not to_dense(a).any()
+
+
+def test_run_partitions_claims_every_task_once():
+    # More workers than cores and a short switch interval make a lost or
+    # doubled claim on the shared counter likely to show.
+    claimed = [0] * 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def task(p):
+            claimed[p] += 1
+
+        run_partitions(len(claimed), task, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert claimed == [1] * len(claimed)

@@ -23,8 +23,7 @@ def test_encode_reference_matrix(matrix_e):
     d = encode_delta(matrix_e)
     assert d.delta_width == 8
     assert d.row_encoding.all()  # every row delta-coded (incl. the empty one)
-    assert d.first_cols.tolist() == [0, 1, 0]  # rows 0, 1, 3
-    assert d.deltas.tolist() == [3, 1, 2]      # row 0: [3]; row 3: [1, 2]
+    assert d.deltas.tolist() == [0, 3, 1, 0, 1, 2]  # rows 0: [0, 3]; 1: [1]; 3: [0, 1, 2]
     assert d.abs_colind.size == 0
     assert decode_delta(d) == matrix_e
 
@@ -149,6 +148,10 @@ def test_scheduled_spmv_equals_baseline(matrix_e):
     expected = spmv_baseline(skewed, x)
     got = spmv_scheduled(skewed, x, policy, workers=4)
     assert np.array_equal(got, expected)
+    # more workers than chunks, and one chunk longer than the matrix
+    for chunk_rows, workers in [(4, 8), (20, 2)]:
+        policy = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows=chunk_rows)
+        assert np.array_equal(spmv_scheduled(skewed, x, policy, workers), expected)
 
 
 def test_schedule_policy_validation():
@@ -294,6 +297,15 @@ def test_kernel_entry_point_contract(matrix_e, name):
     if takes_part:
         with pytest.raises(ValueError, match="cover"):
             kernel(matrix_e, np.ones(4), RowPartition(np.array([0, 2, 3])))
+
+
+@pytest.mark.parametrize("name", KERNEL_ENTRY_POINTS)
+def test_kernel_entry_point_on_zero_rows(name):
+    kernel, _ = KERNEL_ENTRY_POINTS[name]
+    a = CsrMatrix(0, 3, np.zeros(1), np.empty(0), np.empty(0))
+    before = kernel_call_count()
+    assert kernel(a, np.ones(3), None).shape == (0,)
+    assert kernel_call_count() == before + 1
 
 
 @pytest.mark.parametrize("reps,warmup", [(1, 0), (2, 3)])
