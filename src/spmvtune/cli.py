@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -283,7 +284,8 @@ def _cmd_advise(args, timer) -> int:
     cfg = _cfg_from_args(args)
     a = load_matrix(args.matrix)
     model = _load_feature_model(args)
-    cls, evidence = _classify(a, _spmv_input(a, args.seed), cfg, model, timer)
+    x = _spmv_input(a, args.seed) if model is None else None
+    cls, evidence = _classify(a, x, cfg, model, timer)
     print(f"matrix: {args.matrix} ({a.nrows}x{a.ncols}, {a.nnz} nonzeros)")
     print(f"class: {cls.name}")
     print(f"optimization: {optimization_for(cls).value}")
@@ -407,11 +409,14 @@ def _read_speedups(path) -> list[float]:
             continue
         token = line.split(",")[-1].strip()
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError:
             if idx == 0:
                 continue  # header row
             raise DataError(f"cannot parse speedup value {token!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise DataError(f"speedup value {token!r} must be finite and positive")
+        values.append(value)
     if not values:
         raise DataError(f"no speedup values found in {path}")
     return values

@@ -2,10 +2,10 @@
 
 CSR keeps the nonzeros of each row contiguous in memory; a row pointer
 array of length ``nrows + 1`` marks row boundaries inside the ``colind``
-and ``values`` arrays.  Every kernel in this package funnels through the
-per-row accumulation implemented here, so that for identical inputs the
-output vector is reproducible bit for bit regardless of how the rows are
-partitioned across workers.
+and ``values`` arrays.  Every kernel in this package runs its rows through
+``_accumulate_rows``, the one per-row loop, so that for identical inputs
+the output vector is reproducible bit for bit regardless of how the rows
+are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ class CsrMatrix:
         if self.index_width not in _INDEX_DTYPES:
             raise ValueError(f"index_width must be 32 or 64, got {self.index_width}")
         dtype = _INDEX_DTYPES[self.index_width]
+        # Checked before the cast, which would wrap an oversized index.
+        rowptr = np.asarray(self.rowptr)
+        nnz = int(rowptr[-1]) if rowptr.size else 0
+        if max(self.ncols - 1, nnz) > np.iinfo(dtype).max:
+            raise ValueError(f"a matrix with {self.ncols} columns and {nnz} nonzeros "
+                             f"needs {2 * self.index_width}-bit indices")
         self.rowptr = np.ascontiguousarray(self.rowptr, dtype=dtype)
         self.colind = np.ascontiguousarray(self.colind, dtype=dtype)
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -230,17 +236,19 @@ def partition_rows_by_nnz(a: CsrMatrix, p: int) -> RowPartition:
     return RowPartition(bounds)
 
 
-def _accumulate_rows(rowptr, colind, values, x, y, lo: int, hi: int) -> None:
-    """Canonical per-row accumulation shared by all kernels.
+def _accumulate_rows(rowptr, colind, values, x, y, lo: int, hi: int,
+                     reduce=np.ndarray.sum) -> None:
+    """The per-row loop of every kernel: ``y[i] = reduce(products of row i)``.
 
-    Each row's contribution is the reduction of one freshly formed product
+    Each row's contribution is ``reduce`` over one freshly formed product
     array, so any kernel that feeds identical per-row operands through this
-    helper produces bitwise-identical results.
+    loop with the default ``reduce`` produces bitwise-identical results.
+    Rows without nonzeros keep their 0.0.
     """
     for i in range(lo, hi):
         s, e = rowptr[i], rowptr[i + 1]
         if e > s:
-            y[i] = (values[s:e] * x[colind[s:e]]).sum()
+            y[i] = reduce(values[s:e] * x[colind[s:e]])
 
 
 _pool: ThreadPoolExecutor | None = None

@@ -34,23 +34,16 @@ _VALUE_BYTES = 8
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Cache geometry the size and miss features are computed against.
-
-    ``index_bytes`` may be left None to follow the matrix's own index
-    width (4 bytes for 32-bit indices, 8 for 64-bit).
-    """
+    """Cache geometry the size and miss features are computed against."""
 
     llc_bytes: int
     cacheline_bytes: int = 64
-    index_bytes: int | None = None
 
     def __post_init__(self):
         if self.llc_bytes <= 0 or self.cacheline_bytes <= 0:
             raise ValueError("cache parameters must be positive")
         if self.cacheline_bytes % _VALUE_BYTES:
             raise ValueError(f"cacheline_bytes must be divisible by {_VALUE_BYTES}")
-        if self.index_bytes is not None and self.index_bytes <= 0:
-            raise ValueError("index_bytes must be positive")
 
     @property
     def line_values(self) -> int:
@@ -109,8 +102,11 @@ FEATURE_SUBSETS: dict[str, tuple[str, ...]] = {
 
 
 def working_set_bytes(a: CsrMatrix, cfg: CacheConfig) -> int:
-    """Bytes touched by one SpMV: nonzeros, indices and both dense vectors."""
-    ib = cfg.index_bytes if cfg.index_bytes is not None else a.index_width // 8
+    """Bytes touched by one SpMV: nonzeros, indices and both dense vectors.
+
+    Indices take the matrix's own width: 4 bytes for 32-bit, 8 for 64-bit.
+    """
+    ib = a.index_width // 8
     return (_VALUE_BYTES * a.nnz + ib * a.nnz + ib * (a.nrows + 1)
             + _VALUE_BYTES * (a.nrows + a.ncols))
 

@@ -50,11 +50,11 @@ class DeltaCsrMatrix:
     """CSR matrix with per-row delta-coded column indices.
 
     One narrow width (8- or 16-bit) applies matrix-wide; rows whose first
-    column or in-row gaps exceed that width keep absolute 32-bit indices
-    and have their ``row_encoding`` flag cleared.  A delta-coded row stores
-    ``nnz`` narrow codes: its absolute first column, then the gap to each
-    following column, so every row decodes independently of its
-    neighbours as the running sum of its codes.
+    column or in-row gaps exceed that width keep absolute indices, in the
+    source matrix's index dtype, and have their ``row_encoding`` flag
+    cleared.  A delta-coded row stores ``nnz`` narrow codes: its absolute
+    first column, then the gap to each following column, so every row
+    decodes independently of its neighbours as the running sum of its codes.
     """
 
     nrows: int
@@ -64,7 +64,7 @@ class DeltaCsrMatrix:
     delta_width: int
     row_encoding: np.ndarray   # bool per row, True = delta coded
     deltas: np.ndarray         # uint8/uint16 codes of the delta-coded rows
-    abs_colind: np.ndarray     # int32 absolute indices of the remaining rows
+    abs_colind: np.ndarray     # absolute indices of the remaining rows
 
     _delta_ofs: np.ndarray = field(init=False, repr=False)
     _abs_ofs: np.ndarray = field(init=False, repr=False)
@@ -73,7 +73,7 @@ class DeltaCsrMatrix:
         if self.delta_width not in _DELTA_LIMITS:
             raise ValueError("delta_width must be 8 or 16")
         counts = np.diff(self.rowptr).astype(np.int64)
-        coded = self.row_encoding.astype(bool)
+        self.row_encoding = coded = np.asarray(self.row_encoding, dtype=bool)
         self._delta_ofs = np.concatenate(([0], np.cumsum(np.where(coded, counts, 0))))
         self._abs_ofs = np.concatenate(([0], np.cumsum(np.where(coded, 0, counts))))
         if (self.deltas.size != self._delta_ofs[-1]
@@ -89,14 +89,20 @@ class DeltaCsrMatrix:
         """Bytes spent on column-index storage (narrow codes and absolutes)."""
         return self.deltas.nbytes + self.abs_colind.nbytes
 
-    def row_cols(self, i: int) -> np.ndarray:
-        """Absolute column indices of row i, reconstructed if delta coded."""
-        k = int(self.rowptr[i + 1] - self.rowptr[i])
-        if not self.row_encoding[i]:
-            a = self._abs_ofs[i]
-            return self.abs_colind[a:a + k].astype(np.int64)
-        d = self._delta_ofs[i]
-        return np.cumsum(self.deltas[d:d + k], dtype=np.int64)
+    def decode_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Absolute int64 column indices of rows lo..hi, in CSR order.
+
+        Reads only that range's narrow codes and absolute indices.  A coded
+        row's columns are the running sum of its codes: one cumulative sum
+        over the range, less the sum reached before the row's first code.
+        """
+        coded = np.repeat(self.row_encoding[lo:hi], np.diff(self.rowptr[lo:hi + 1]))
+        cols = np.empty(coded.size, dtype=np.int64)
+        cols[~coded] = self.abs_colind[self._abs_ofs[lo]:self._abs_ofs[hi]]
+        ofs = self._delta_ofs[lo:hi + 1]
+        sums = np.r_[0, np.cumsum(self.deltas[ofs[0]:ofs[-1]], dtype=np.int64)]
+        cols[coded] = sums[1:] - np.repeat(sums[ofs[:-1] - ofs[0]], np.diff(ofs))
+        return cols
 
 
 def encode_delta(a: CsrMatrix) -> DeltaCsrMatrix:
@@ -120,7 +126,7 @@ def encode_delta(a: CsrMatrix) -> DeltaCsrMatrix:
 
     elem_coded = np.repeat(coded, counts)
     deltas = gap[elem_coded].astype(_DELTA_DTYPES[width])
-    abs_colind = a.colind[~elem_coded].astype(np.int32)
+    abs_colind = a.colind[~elem_coded]
     # rowptr keeps the source dtype so decoding restores the index width.
     return DeltaCsrMatrix(n, a.ncols, a.rowptr, a.values,
                           width, coded, deltas, abs_colind)
@@ -129,55 +135,39 @@ def encode_delta(a: CsrMatrix) -> DeltaCsrMatrix:
 def decode_delta(d: DeltaCsrMatrix) -> CsrMatrix:
     """Lossless inverse of encode_delta; restores the source index width.
 
-    Decodes with ``row_cols``, the same per-row decoder ``spmv_delta`` runs.
+    Decodes with ``decode_rows``, the same decoder ``spmv_delta`` runs.
     """
-    rows = [d.row_cols(i) for i in range(d.nrows)]
-    colind = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     width = 64 if d.rowptr.dtype == np.int64 else 32
-    return CsrMatrix(d.nrows, d.ncols, d.rowptr, colind, d.values,
-                     index_width=width)
+    return CsrMatrix(d.nrows, d.ncols, d.rowptr, d.decode_rows(0, d.nrows),
+                     d.values, index_width=width)
 
 
 def spmv_delta(d: DeltaCsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
-    """SpMV over the delta-coded form; bitwise-equal to the baseline."""
+    """SpMV over the delta-coded form; bitwise-equal to the baseline.
+
+    Each partition decodes its own rows in one ``decode_rows`` pass, then
+    runs the shared row loop over the decoded columns.
+    """
     def body(x, y, lo, hi):
-        rowptr, values = d.rowptr, d.values
-        for i in range(lo, hi):
-            s, e = rowptr[i], rowptr[i + 1]
-            if e > s:
-                y[i] = (values[s:e] * x[d.row_cols(i)]).sum()
+        s, e = d.rowptr[lo], d.rowptr[hi]
+        _accumulate_rows(d.rowptr[lo:hi + 1] - s, d.decode_rows(lo, hi),
+                         d.values[s:e], x, y[lo:hi], 0, hi - lo)
 
     return _row_kernel(d, x, part, body)
 
 
-def _prefetch_hint(x, cols) -> None:
-    """Advisory prefetch of x at the given indices.
-
-    Real targets would issue a non-binding cache hint here; on CPython the
-    hint is a no-op, which the kernel contract permits.
-    """
-
-
 def spmv_prefetch(a: CsrMatrix, x, part: RowPartition | None = None,
                   distance: int = 8) -> np.ndarray:
-    """Baseline SpMV that hints x[colind[j + distance]] ahead of each step.
+    """Baseline SpMV meant to hint x[colind[j + distance]] ahead of each step.
 
-    The hint index is clamped at the row end.  The default distance of 8
-    elements is one 64-byte cache line of double-precision values.
-    Numerically bitwise-equal to the baseline.
+    The default distance of 8 elements is one 64-byte cache line of
+    double-precision values.  CPython has no cache hint to emit, so after
+    checking ``distance`` this runs the baseline body; a native backend
+    uses the distance.  Bitwise-equal to the baseline.
     """
     if distance < 1:
         raise ValueError("prefetch distance must be >= 1")
-
-    def body(x, y, lo, hi):
-        rowptr, colind, values = a.rowptr, a.colind, a.values
-        for i in range(lo, hi):
-            s, e = rowptr[i], rowptr[i + 1]
-            if e > s:
-                _prefetch_hint(x, colind[min(s + distance, e - 1):e])
-                y[i] = (values[s:e] * x[colind[s:e]]).sum()
-
-    return _row_kernel(a, x, part, body)
+    return spmv_baseline(a, x, part)
 
 
 def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
@@ -201,6 +191,15 @@ def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
                        partial(run_partitions, workers=workers))
 
 
+def _unrolled_sum(prod: np.ndarray) -> float:
+    """``spmv_unrolled``'s reduction of one row's products."""
+    k = prod.size - prod.size % _UNROLL
+    if not k:
+        return prod.sum()
+    lanes = prod[:k].reshape(-1, _UNROLL).sum(axis=0)
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + prod[k:].sum()
+
+
 def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
     """SpMV with a 4-way unrolled inner loop.
 
@@ -210,21 +209,9 @@ def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     baseline, results agree within relative 1e-10 rather than bitwise; rows
     shorter than 4 elements take the tail path and match exactly.
     """
-    def body(x, y, lo, hi):
-        rowptr, colind, values = a.rowptr, a.colind, a.values
-        for i in range(lo, hi):
-            s, e = rowptr[i], rowptr[i + 1]
-            if e <= s:
-                continue
-            prod = values[s:e] * x[colind[s:e]]
-            k = prod.size - prod.size % _UNROLL
-            if k:
-                lanes = prod[:k].reshape(-1, _UNROLL).sum(axis=0)
-                y[i] = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + prod[k:].sum()
-            else:
-                y[i] = prod.sum()
-
-    return _row_kernel(a, x, part, body)
+    return _row_kernel(a, x, part,
+                       partial(_accumulate_rows, a.rowptr, a.colind, a.values,
+                               reduce=_unrolled_sum))
 
 
 def _noxmiss(a: CsrMatrix, zeroed: np.ndarray, x,

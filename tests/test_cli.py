@@ -106,6 +106,18 @@ def test_report_empty_input_is_data_error(tmp_path):
     assert run(["report", "--results", results]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1.5"])
+def test_report_non_finite_or_non_positive_speedup_is_one_line_data_error(
+        tmp_path, capsys, bad):
+    results = tmp_path / "r.txt"
+    results.write_text(f"1.2\n{bad}\n")
+    assert run(["report", "--results", results]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(bad) in captured.err
+
+
 # --- bench --------------------------------------------------------------------
 
 def test_bench_scripted_speedups(tmp_path, capsys):
@@ -203,6 +215,18 @@ def test_advise_profiling_scripted_cmp(tmp_path, capsys):
                         "  s_imb 1\n")
 
 
+def test_advise_features_draws_no_input_vector(tmp_path, monkeypatch):
+    matrix = generate(tmp_path, "banded", 8, 2, 0)
+    model = stub_model_path(tmp_path)
+
+    def no_input(a, seed):
+        raise AssertionError("features mode drew an SpMV input vector")
+
+    monkeypatch.setattr(cli, "_spmv_input", no_input)
+    assert run(["advise", "--matrix", matrix, "--mode", "features",
+                "--model", model]) == 0
+
+
 def test_advise_subset_conflicting_with_model_is_data_error(tmp_path):
     matrix = generate(tmp_path, "banded", 8, 2, 0)
     model = stub_model_path(tmp_path)  # trained on (density, nnz_avg)
@@ -250,6 +274,17 @@ def test_advise_invalid_model_is_one_line_data_error(tmp_path, capsys, kind, par
     captured = capsys.readouterr()
     assert "class:" not in captured.out
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_advise_column_beyond_32_bits_is_one_line_data_error(tmp_path, capsys):
+    matrix = tmp_path / "wide.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "2 5000000000 2\n1 4294967302 1.5\n2 3 2.0\n")
+    assert run(["advise", "--matrix", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "needs 64-bit indices" in captured.err
 
 
 def test_advise_unreadable_matrix_is_data_error(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spmvtune import (CsrMatrix, MatrixMarketError, TripletList,
-                      csr_from_triplets, parse_matrix_market,
+                      csr_from_triplets, load_matrix, parse_matrix_market,
                       partition_rows_by_nnz, spmv_baseline, to_dense,
                       write_matrix_market, read_matrix_market)
 from spmvtune.csr import run_partitions
@@ -140,6 +140,21 @@ def test_csr_invariant_violations_rejected():
         CsrMatrix(1, 2, [1, 1], [], [])  # rowptr[0] != 0
     with pytest.raises(ValueError):
         CsrMatrix(2, 2, [0, 2, 1], [0, 1, 0], [1.0, 1.0, 1.0])  # decreasing rowptr
+
+
+# Column 4294967301 (0-based) would wrap to 5 in 32-bit storage.
+WIDE_COLUMN_MTX = ("%%MatrixMarket matrix coordinate real general\n"
+                   "2 5000000000 2\n1 4294967302 1.5\n2 3 2.0\n")
+
+
+def test_indices_beyond_32_bits_need_64_bit_width(tmp_path):
+    path = tmp_path / "wide.mtx"
+    path.write_text(WIDE_COLUMN_MTX)
+    with pytest.raises(ValueError, match="needs 64-bit indices"):
+        load_matrix(path)
+    assert load_matrix(path, index_width=64).colind.tolist() == [4294967301, 2]
+    with pytest.raises(ValueError, match="needs 64-bit indices"):
+        CsrMatrix(1, 2, [0, 2**31], [], [])  # nnz beyond 32 bits
 
 
 @given(triplet_lists())

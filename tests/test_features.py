@@ -85,8 +85,9 @@ def test_cache_config_validation():
 
 
 def test_explicit_index_bytes_overrides_matrix_width(matrix_e):
-    cfg = CacheConfig(llc_bytes=1 << 20, index_bytes=8)
-    assert working_set_bytes(matrix_e, cfg) == 8 * 6 + 8 * 6 + 8 * 5 + 8 * 8
+    cfg = CacheConfig(llc_bytes=1 << 20)
+    wide = matrix_e.with_index_width(64)
+    assert working_set_bytes(wide, cfg) == 8 * 6 + 8 * 6 + 8 * 5 + 8 * 8
 
 
 # --- subsets -------------------------------------------------------------------

@@ -92,6 +92,26 @@ def test_codec_preserves_index_width(matrix_e):
     assert back.index_width == 64
     assert back == wide
     assert decode_delta(encode_delta(matrix_e)).index_width == 32
+    # an absolute fallback column beyond 32 bits
+    huge = CsrMatrix(2, 5_000_000_000, [0, 1, 2], [4_294_967_301, 2], [1.5, 2.0],
+                     index_width=64)
+    assert decode_delta(encode_delta(huge)) == huge
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 69999)),
+                max_size=40, unique=True),
+       st.integers(0, 12), st.integers(0, 12))
+def test_decode_rows_matches_whole_matrix_slice(positions, i, j):
+    # Row 9 stays empty, row 10 needs a 16-bit code and row 11 an absolute
+    # fallback, so every example mixes all three row kinds.
+    fixed = [(10, 0, 1.0), (10, 300, 1.0), (11, 0, 1.0), (11, 69_999, 1.0)]
+    entries = [(r, c, 1.0) for r, c in positions] + fixed
+    d = encode_delta(csr_from_triplets(TripletList.from_entries(12, 70_000, entries)))
+    assert d.delta_width == 16 and d.row_encoding[10] and not d.row_encoding[11]
+    lo, hi = min(i, j), max(i, j)
+    part = d.decode_rows(lo, hi)
+    assert part.dtype == np.int64
+    assert np.array_equal(part, d.decode_rows(0, 12)[d.rowptr[lo]:d.rowptr[hi]])
 
 
 def test_delta_storage_beats_32bit_colind_when_nnz_exceeds_rows():
