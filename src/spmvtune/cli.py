@@ -5,8 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 ``main`` accepts one injectable ``timer`` hook so tests can drive every
 timing-dependent command deterministically.  Commands that profile several
-matrices read it in corpus order (sorted file names); when the hook is
-present, timed kernels run their workers sequentially.
+matrices read it in corpus order (sorted file names).
 """
 
 from __future__ import annotations
@@ -168,13 +167,13 @@ def _scan_corpus(corpus):
     for path in paths:
         try:
             matrices.append((path.stem, load_matrix(path)))
-        except MatrixMarketError as exc:
+        except ValueError as exc:  # a MatrixMarketError, or indices too wide
             skipped += 1
-            print(f"warning: skipping unparseable {path.name}: {exc}", file=sys.stderr)
+            print(f"warning: skipping unloadable {path.name}: {exc}", file=sys.stderr)
     if skipped:
-        print(f"warning: skipped {skipped} unparseable file(s)", file=sys.stderr)
+        print(f"warning: skipped {skipped} unloadable file(s)", file=sys.stderr)
     if not matrices:
-        raise DataError(f"no parseable .mtx files in {corpus}")
+        raise DataError(f"no loadable .mtx files in {corpus}")
     return matrices
 
 
@@ -203,11 +202,10 @@ def _read_label_file(path) -> dict[str, MatrixClass]:
 
 
 def _profile(a: CsrMatrix, x, cfg: AdvisorConfig, timer):
-    """Profile one matrix; an injected ``timer`` makes the workers sequential."""
+    """Profile one matrix, reading the injected ``timer`` if there is one."""
     return classify_profiling(a, x, workers=cfg.workers, reps=cfg.reps,
                               warmup=cfg.warmup, thresholds=cfg.thresholds,
-                              timer=timer or time.perf_counter,
-                              sequential=timer is not None)
+                              timer=timer or time.perf_counter)
 
 
 def _resolve_labels(args, cfg, matrices, timer):

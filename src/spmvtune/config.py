@@ -27,7 +27,7 @@ class AdvisorConfig:
             raise ValueError("llc_bytes, cacheline_bytes, workers and reps must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        # bench_balance starts one thread per worker.
+        # The pooled kernels run one thread per worker.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         if self.workers > 4 * cpus:

@@ -2,10 +2,10 @@
 
 CSR keeps the nonzeros of each row contiguous in memory; a row pointer
 array of length ``nrows + 1`` marks row boundaries inside the ``colind``
-and ``values`` arrays.  Every kernel in this package runs its rows through
-``_accumulate_rows``, the one per-row loop, so that for identical inputs
-the output vector is reproducible bit for bit regardless of how the rows
-are partitioned across workers.
+and ``values`` arrays.  Every kernel in this package runs its partitions
+through ``_accumulate_rows``, one vectorized body that sums each row left
+to right, so for identical inputs the output is reproducible bit for bit
+however the rows are partitioned, and equals a sequential C loop's.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator
 
 import numpy as np
@@ -74,8 +74,16 @@ class TripletList:
         return int(self.rows.size)
 
 
+class _RowOf:
+    @cached_property
+    def row_of(self) -> np.ndarray:
+        """The row of each nonzero, in ``rowptr``'s dtype; built on first use."""
+        ptr = self.rowptr
+        return np.repeat(np.arange(ptr.size - 1, dtype=ptr.dtype), np.diff(ptr))
+
+
 @dataclass(eq=False)
-class CsrMatrix:
+class CsrMatrix(_RowOf):
     """Immutable CSR matrix with 32- or 64-bit index storage.
 
     Invariants (checked on construction): ``rowptr`` starts at 0, ends at
@@ -154,8 +162,7 @@ class CsrMatrix:
                          self.values, index_width=width)
 
     def to_triplets(self) -> TripletList:
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        return TripletList(self.nrows, self.ncols, rows,
+        return TripletList(self.nrows, self.ncols, self.row_of.astype(np.int64),
                            self.colind.astype(np.int64), self.values.copy())
 
     def __eq__(self, other) -> bool:
@@ -210,9 +217,7 @@ def csr_from_triplets(t: TripletList, index_width: int = 32) -> CsrMatrix:
 def to_dense(a: CsrMatrix) -> np.ndarray:
     """Lossless row-major dense expansion (tests and tooling only)."""
     out = np.zeros((a.nrows, a.ncols), dtype=np.float64)
-    if a.nnz:
-        rows = np.repeat(np.arange(a.nrows), a.row_nnz())
-        out[rows, a.colind] = a.values
+    out[a.row_of, a.colind] = a.values
     return out
 
 
@@ -236,19 +241,16 @@ def partition_rows_by_nnz(a: CsrMatrix, p: int) -> RowPartition:
     return RowPartition(bounds)
 
 
-def _accumulate_rows(rowptr, colind, values, x, y, lo: int, hi: int,
-                     reduce=np.ndarray.sum) -> None:
-    """The per-row loop of every kernel: ``y[i] = reduce(products of row i)``.
+def _accumulate_rows(a, colind, x, y, lo: int, hi: int, first: int = 0) -> None:
+    """The body of every kernel: ``y[i]`` = the sum of row i's products.
 
-    Each row's contribution is ``reduce`` over one freshly formed product
-    array, so any kernel that feeds identical per-row operands through this
-    loop with the default ``reduce`` produces bitwise-identical results.
-    Rows without nonzeros keep their 0.0.
+    ``np.bincount`` adds each product into its row's slot in element order,
+    so rows ``lo..hi`` of ``a`` are summed left to right.  ``colind`` starts
+    at nonzero ``first`` (``rowptr[lo]`` for a partition's decoded columns).
     """
-    for i in range(lo, hi):
-        s, e = rowptr[i], rowptr[i + 1]
-        if e > s:
-            y[i] = reduce(values[s:e] * x[colind[s:e]])
+    s, e = a.rowptr[lo], a.rowptr[hi]
+    y[lo:hi] = np.bincount(a.row_of[s:e] - lo, minlength=hi - lo,
+                           weights=a.values[s:e] * x[colind[s - first:e - first]])
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -297,9 +299,10 @@ def _row_kernel(a, x, part: RowPartition | None, body,
     """The one driver of every kernel entry point.
 
     Counts the call, checks ``x`` and the partition (the whole matrix when
-    ``part`` is None), allocates ``y`` and calls ``run(len(part), task)``,
-    where ``task(p)`` runs ``body(x, y, lo, hi)`` over partition p.  ``body``
-    fills ``y[lo:hi]``; ``run`` schedules the tasks.
+    ``part`` is None), builds ``a.row_of`` on the first call, allocates ``y``
+    and calls ``run(len(part), task)``, where ``task(p)`` runs
+    ``body(x, y, lo, hi)`` over partition p.  ``body`` fills ``y[lo:hi]``;
+    ``run`` schedules the tasks.
     """
     global _kernel_calls
     _kernel_calls += 1
@@ -310,6 +313,7 @@ def _row_kernel(a, x, part: RowPartition | None, body,
         part = RowPartition.whole(a.nrows)
     if int(part.boundaries[-1]) != a.nrows:
         raise ValueError("partition does not cover all matrix rows")
+    a.row_of  # built here, not by racing worker threads
     y = np.zeros(a.nrows, dtype=np.float64)
     run(len(part), lambda p: body(x, y, *part.bounds(p)))
     return y
@@ -322,5 +326,4 @@ def spmv_baseline(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     partition count because rows are computed independently and workers
     write disjoint slices of y.
     """
-    return _row_kernel(a, x, part,
-                       partial(_accumulate_rows, a.rowptr, a.colind, a.values))
+    return _row_kernel(a, x, part, partial(_accumulate_rows, a, a.colind))

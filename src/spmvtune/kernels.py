@@ -11,7 +11,6 @@ relative tolerance for the unrolled variant whose summation order differs.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -19,7 +18,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .csr import (CsrMatrix, RowPartition, _accumulate_rows, _row_kernel,
+from .csr import (CsrMatrix, RowPartition, _RowOf, _accumulate_rows, _row_kernel,
                   partition_rows_by_nnz, run_partitions, spmv_baseline)
 
 _DELTA_LIMITS = {8: 255, 16: 65535}
@@ -27,7 +26,6 @@ _DELTA_DTYPES = {8: np.uint8, 16: np.uint16}
 # Fraction of rows that must fit the narrow width before it is chosen
 # matrix-wide; the remaining rows fall back to absolute indices.
 _DELTA_CODABLE_FRACTION = 0.9
-_UNROLL = 4
 
 
 class ScheduleKind(enum.Enum):
@@ -46,7 +44,7 @@ class SchedulePolicy:
 
 
 @dataclass(eq=False)
-class DeltaCsrMatrix:
+class DeltaCsrMatrix(_RowOf):
     """CSR matrix with per-row delta-coded column indices.
 
     One narrow width (8- or 16-bit) applies matrix-wide; rows whose first
@@ -146,12 +144,10 @@ def spmv_delta(d: DeltaCsrMatrix, x, part: RowPartition | None = None) -> np.nda
     """SpMV over the delta-coded form; bitwise-equal to the baseline.
 
     Each partition decodes its own rows in one ``decode_rows`` pass, then
-    runs the shared row loop over the decoded columns.
+    runs the shared body over the decoded columns.
     """
     def body(x, y, lo, hi):
-        s, e = d.rowptr[lo], d.rowptr[hi]
-        _accumulate_rows(d.rowptr[lo:hi + 1] - s, d.decode_rows(lo, hi),
-                         d.values[s:e], x, y[lo:hi], 0, hi - lo)
+        _accumulate_rows(d, d.decode_rows(lo, hi), x, y, lo, hi, first=d.rowptr[lo])
 
     return _row_kernel(d, x, part, body)
 
@@ -186,39 +182,31 @@ def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
     # The leading 0 keeps one (empty) chunk when the matrix has no rows.
     chunks = RowPartition(np.r_[0, np.arange(policy.chunk_rows, a.nrows,
                                              policy.chunk_rows), a.nrows])
-    return _row_kernel(a, x, chunks,
-                       partial(_accumulate_rows, a.rowptr, a.colind, a.values),
+    return _row_kernel(a, x, chunks, partial(_accumulate_rows, a, a.colind),
                        partial(run_partitions, workers=workers))
 
 
-def _unrolled_sum(prod: np.ndarray) -> float:
-    """``spmv_unrolled``'s reduction of one row's products."""
-    k = prod.size - prod.size % _UNROLL
-    if not k:
-        return prod.sum()
-    lanes = prod[:k].reshape(-1, _UNROLL).sum(axis=0)
-    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + prod[k:].sum()
-
-
 def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
-    """SpMV with a 4-way unrolled inner loop.
+    """SpMV with a 4-way unrolled inner loop, as a four-accumulator C loop.
 
-    Each row is reduced through four stride-4 partial accumulators combined
-    as ((s0+s1)+(s2+s3)) plus a sequential scalar tail, mirroring what a
-    vectorizing compiler emits.  Because the association differs from the
-    baseline, results agree within relative 1e-10 rather than bitwise; rows
-    shorter than 4 elements take the tail path and match exactly.
+    Each row's first ``nnz - nnz % 4`` products go round-robin to lanes 0-3
+    and the rest to tail lane 4; one ``bincount`` over ``5 * row + lane``
+    sums each lane left to right, combined as ((s0+s1)+(s2+s3)) + tail.
+    Results agree with the baseline within relative 1e-10, exactly on rows
+    shorter than 4 elements.
     """
-    return _row_kernel(a, x, part,
-                       partial(_accumulate_rows, a.rowptr, a.colind, a.values,
-                               reduce=_unrolled_sum))
+    def body(x, y, lo, hi):
+        s, e = a.rowptr[lo], a.rowptr[hi]
+        ptr = a.rowptr[lo:hi + 1]
+        rows = a.row_of[s:e] - np.int64(lo)
+        pos = np.arange(s, e) - ptr[rows]  # each product's place in its row
+        lanes_end = np.diff(ptr) // 4 * 4
+        keys = 5 * rows + np.where(pos < lanes_end[rows], pos % 4, 4)
+        sums = np.bincount(keys, weights=a.values[s:e] * x[a.colind[s:e]],
+                           minlength=5 * (hi - lo)).reshape(-1, 5)
+        y[lo:hi] = ((sums[:, 0] + sums[:, 1]) + (sums[:, 2] + sums[:, 3])) + sums[:, 4]
 
-
-def _noxmiss(a: CsrMatrix, zeroed: np.ndarray, x,
-             part: RowPartition | None) -> np.ndarray:
-    """``bench_noxmiss`` over a caller-built all-zero column index array."""
-    return _row_kernel(a, x, part,
-                       partial(_accumulate_rows, a.rowptr, zeroed, a.values))
+    return _row_kernel(a, x, part, body)
 
 
 def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -229,7 +217,8 @@ def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     at cache-miss-latency-bound matrices.  The result intentionally
     differs from a true SpMV.
     """
-    return _noxmiss(a, np.zeros_like(a.colind), x, part)
+    return _row_kernel(a, x, part,
+                       partial(_accumulate_rows, a, np.zeros_like(a.colind)))
 
 
 def bench_inflate(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -242,42 +231,32 @@ def bench_inflate(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     return spmv_baseline(a.with_index_width(64), x, part)
 
 
-def bench_balance(a: CsrMatrix, x, part: RowPartition,
-                  timer=time.perf_counter, *, sequential: bool = False):
-    """Time each partition worker independently over its own rows.
+def _partition_times(a: CsrMatrix, colind, x, part: RowPartition, timer):
+    """The baseline body over ``colind``, timing each partition alone.
 
-    Returns ``(y, durations, mean)`` where ``durations[p]`` is worker p's
-    own wall time and ``mean`` is their arithmetic mean.  Workers
-    rendezvous on a barrier *before* starting their clocks (none inside
-    the timed region), so thread wakeup stagger is not charged to anyone.
-    ``sequential=True`` runs the workers one after another in partition
-    order so that injected timers see a deterministic call sequence.
+    Returns ``(y, durations)`` where ``durations[p]`` is partition p's own
+    time.  The partitions run one after another: CPython runs one numpy
+    body at a time under its interpreter lock, so workers timed side by
+    side would be charged for each other's work.
     """
     durations = [0.0] * len(part)
 
     def run(n, task):
-        serial = sequential or n == 1
-        start = threading.Barrier(n)
-
-        def timed(p):
-            if not serial:
-                start.wait()
+        for p in range(n):
             t0 = timer()
             task(p)
             durations[p] = timer() - t0
 
-        if serial:
-            for p in range(n):
-                timed(p)
-            return
-        # Dedicated threads: every worker must reach the barrier, which a
-        # bounded shared pool cannot guarantee.
-        threads = [threading.Thread(target=timed, args=(p,)) for p in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    body = partial(_accumulate_rows, a, colind)
+    return _row_kernel(a, x, part, body, run), durations
 
-    y = _row_kernel(a, x, part,
-                    partial(_accumulate_rows, a.rowptr, a.colind, a.values), run)
+
+def bench_balance(a: CsrMatrix, x, part: RowPartition, timer=time.perf_counter):
+    """Time each partition worker over its own rows.
+
+    Returns ``(y, durations, mean)`` where ``durations[p]`` is worker p's
+    time, measured alone by ``_partition_times``, and ``mean`` is their
+    arithmetic mean: the time every worker would take under perfect balance.
+    """
+    y, durations = _partition_times(a, a.colind, x, part, timer)
     return y, durations, fmean(durations)

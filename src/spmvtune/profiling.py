@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from statistics import median
+from statistics import fmean, median
 
 import numpy as np
 
-from .csr import CsrMatrix, partition_rows_by_nnz, spmv_baseline
-from .kernels import _noxmiss, bench_balance
+from .csr import CsrMatrix, partition_rows_by_nnz
+from .kernels import _partition_times
 from .taxonomy import MatrixClass
 
 
@@ -129,40 +129,40 @@ def median_time(fn, reps: int, warmup: int, timer=time.perf_counter, *,
 
 
 def measure(a: CsrMatrix, x, workers: int = 1, reps: int = 20, warmup: int = 5,
-            timer=time.perf_counter, *, sequential: bool = False) -> BenchmarkReport:
+            timer=time.perf_counter) -> BenchmarkReport:
     """Run baseline + the three diagnostic kernels under ``median_time``.
 
-    Kernel setup work (index zeroing, index widening, partitioning) happens
-    once, outside the timed regions.  Kernels are timed in a fixed order:
-    baseline, noxmiss, inflate, balance; the balance sample is the mean of
-    its per-worker times.  ``sequential=True`` makes the balance workers
-    run in partition order so injected timers observe a deterministic call
-    sequence.
+    Every kernel runs over the same ``workers`` partitions, each timed alone
+    by ``_partition_times``.  A kernel's sample is its slowest partition's
+    time, the span of a parallel run; the balance sample is the mean
+    partition time, the span under perfect balance.  All four samples thus
+    time the partition body and nothing else, and ``s_imb`` is a ratio of
+    per-worker times.  Kernel setup work (index zeroing, index widening,
+    partitioning, both ``row_of`` arrays) happens once, outside the timed
+    regions.  Kernels are timed in a fixed order: baseline, noxmiss,
+    inflate, balance.
     """
     part = partition_rows_by_nnz(a, workers)
     zeroed = np.zeros_like(a.colind)
     wide = a.with_index_width(64)
+    a.row_of, wide.row_of  # built here, not in the first timed run
 
-    def timed(fn, **kw) -> float:
-        return median_time(fn, reps, warmup, timer, **kw)
+    def timed(m, colind, span=max) -> float:
+        return median_time(
+            lambda clock: span(_partition_times(m, colind, x, part, clock)[1]),
+            reps, warmup, timer, self_timed=True)
 
-    return BenchmarkReport(
-        timed(lambda: spmv_baseline(a, x, part)),
-        timed(lambda: _noxmiss(a, zeroed, x, part)),
-        timed(lambda: spmv_baseline(wide, x, part)),
-        timed(lambda clock: bench_balance(a, x, part, timer=clock,
-                                          sequential=sequential)[2],
-              self_timed=True))
+    return BenchmarkReport(timed(a, a.colind), timed(a, zeroed),
+                           timed(wide, wide.colind), timed(a, a.colind, fmean))
 
 
 def classify_profiling(a: CsrMatrix, x=None, *, workers: int = 1,
                        reps: int = 20, warmup: int = 5,
                        thresholds: ThresholdConfig | None = None,
-                       timer=time.perf_counter,
-                       sequential: bool = False):
+                       timer=time.perf_counter):
     """Measure the matrix and classify it; the report is returned for audit."""
     if x is None:
         x = np.ones(a.ncols, dtype=np.float64)
     report = measure(a, x, workers=workers, reps=reps, warmup=warmup,
-                     timer=timer, sequential=sequential)
+                     timer=timer)
     return classify_from_report(report, thresholds), report

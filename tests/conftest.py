@@ -61,12 +61,12 @@ class FakeTimer:
 def measure_script(t_baseline, t_noxmiss, t_inflate, balance_workers,
                    reps, workers):
     """Durations consumed by profiling.measure with warmup=0, in its fixed
-    region order: baseline, noxmiss, inflate reps, then per-worker balance
-    regions for each rep."""
+    region order: one region per worker for each rep of baseline, noxmiss
+    and inflate (every worker taking the kernel's time), then the given
+    per-worker balance durations for each rep."""
     script = []
-    script += [t_baseline] * reps
-    script += [t_noxmiss] * reps
-    script += [t_inflate] * reps
+    for t in (t_baseline, t_noxmiss, t_inflate):
+        script += [t] * (reps * workers)
     assert len(balance_workers) == workers
     for _ in range(reps):
         script += list(balance_workers)

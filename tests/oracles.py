@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here deliberately avoids the package's own code paths: dense
-accumulation from raw triplets, fsum-based mat-vec, plain-Python per-row
+accumulation from raw triplets, fsum-based mat-vec, sequential and
+four-accumulator mat-vecs over plain CSR lists, plain-Python per-row
 feature recomputation, an explicit delta-width counting rule, and a
 step-by-step cascade walk.
 """
@@ -25,6 +26,36 @@ def dense_matvec(dense: np.ndarray, x) -> np.ndarray:
     n, m = dense.shape
     return np.array([math.fsum(dense[i, j] * x[j] for j in range(m))
                      for i in range(n)])
+
+
+def sequential_matvec(rowptr, colind, values, x) -> list:
+    """Each row summed left to right, as a plain C loop sums it."""
+    y = []
+    for i in range(len(rowptr) - 1):
+        acc = 0.0
+        for j in range(rowptr[i], rowptr[i + 1]):
+            acc += values[j] * x[colind[j]]
+        y.append(acc)
+    return y
+
+
+def four_lane_matvec(rowptr, colind, values, x) -> list:
+    """A C loop unrolled by four: four accumulators over each row's first
+    ``nnz - nnz % 4`` products, then a sequential tail."""
+    y = []
+    for i in range(len(rowptr) - 1):
+        lo, hi = rowptr[i], rowptr[i + 1]
+        end = hi - (hi - lo) % 4
+        s0 = s1 = s2 = s3 = tail = 0.0
+        for j in range(lo, end, 4):
+            s0 += values[j] * x[colind[j]]
+            s1 += values[j + 1] * x[colind[j + 1]]
+            s2 += values[j + 2] * x[colind[j + 2]]
+            s3 += values[j + 3] * x[colind[j + 3]]
+        for j in range(end, hi):
+            tail += values[j] * x[colind[j]]
+        y.append(((s0 + s1) + (s2 + s3)) + tail)
+    return y
 
 
 def feature_oracle(dense: np.ndarray, llc_bytes, cacheline_bytes,

@@ -390,6 +390,26 @@ def test_train_skips_unparseable_matrices_with_warning(tmp_path, capsys):
     assert "broken.mtx" in capsys.readouterr().err
 
 
+def test_corpus_skips_matrix_needing_64_bit_indices_with_warning(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    generate(corpus, "banded", 32, 3, 0, name="a.mtx")
+    generate(corpus, "irregular", 32, 3, 0, name="b.mtx")
+    (corpus / "wide.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                     "2 5000000000 2\n1 4294967302 1.5\n2 3 2.0\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("matrix,label\na,MB\nb,CML\n")
+    assert run(["train", "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "m.json"]) == 0
+    err = capsys.readouterr().err
+    assert "wide.mtx" in err and "64-bit indices" in err
+    for name in ("a.mtx", "b.mtx"):
+        (corpus / name).unlink()
+    assert run(["train", "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "m.json"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: no loadable .mtx files in {corpus}\n")
+
+
 def test_train_auto_labels_match_direct_classification(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -413,8 +433,7 @@ def test_train_auto_labels_match_direct_classification(tmp_path):
     for name in ("a", "b"):
         a = load_matrix(corpus / f"{name}.mtx")
         cls, _ = classify_profiling(a, workers=2, reps=1, warmup=0,
-                                    timer=FakeTimer(scripts[name]),
-                                    sequential=True)
+                                    timer=FakeTimer(scripts[name]))
         expected[name] = cls.name
     assert got == expected == {"a": "MB", "b": "CML"}
 

@@ -245,6 +245,27 @@ def test_partition_deviation_bounded_by_max_row(row_nnz, p):
         assert abs(nnz_k * p - a.nnz) <= max_row * p
 
 
+# --- row_of ------------------------------------------------------------------
+
+@pytest.mark.parametrize("width,dtype", [(32, np.int32), (64, np.int64)])
+def test_row_of_is_built_once_by_the_first_kernel_call(matrix_e, width, dtype):
+    a = matrix_e.with_index_width(width)
+    assert "row_of" not in vars(a)
+    spmv_baseline(a, np.ones(4))
+    row_of = vars(a)["row_of"]
+    assert row_of.dtype == dtype and row_of.tolist() == [0, 0, 1, 3, 3, 3]
+    spmv_baseline(a, np.ones(4))
+    assert a.row_of is row_of
+
+
+def test_to_triplets_rows_do_not_alias_row_of(matrix_e):
+    a = matrix_e.with_index_width(64)
+    t = a.to_triplets()
+    assert t.rows.dtype == np.int64 and t.rows.tolist() == [0, 0, 1, 3, 3, 3]
+    t.rows[:] = 0
+    assert a.row_of.tolist() == [0, 0, 1, 3, 3, 3]
+
+
 # --- to_dense ----------------------------------------------------------------
 
 def test_to_dense_reference(matrix_e):

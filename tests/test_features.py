@@ -154,6 +154,11 @@ def test_extraction_work_scales_with_n_plus_nnz_not_area():
 
 # --- CSV serialization ----------------------------------------------------------
 
+def test_feature_extraction_builds_no_row_index(matrix_e):
+    extract_features(matrix_e, BIG_LLC)
+    assert "row_of" not in vars(matrix_e)
+
+
 def test_csv_row_round_trips(matrix_e):
     fv = extract_features(matrix_e, BIG_LLC)
     header = FeatureVector.csv_header().split(",")

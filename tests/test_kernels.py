@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,8 @@ from spmvtune import (CsrMatrix, RowPartition, SchedulePolicy, ScheduleKind,
                       spmv_unrolled)
 
 from conftest import FakeTimer, measure_script, random_triplets
-from oracles import expected_delta_width, row_fits_width
+from oracles import (expected_delta_width, four_lane_matvec, row_fits_width,
+                     sequential_matvec)
 
 
 def row_columns(a: CsrMatrix) -> list[list[int]]:
@@ -196,6 +199,37 @@ def test_unrolled_within_tolerance_of_baseline():
         assert np.allclose(y_u, y_b, rtol=1e-10, atol=0)
 
 
+def test_every_kernel_sums_each_row_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so the order decides the answer: left
+    # to right gives 6.0, numpy's pairwise sum 5.0, math.fsum 7.0 and four
+    # lanes plus a tail ((1e16+2) + (-1e16+2)) + 1 = 5.0.
+    row = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    a = csr_from_triplets(TripletList.from_entries(
+        1, 9, [(0, j, v) for j, v in enumerate(row)]))
+    x = np.ones(9)
+    assert np.array(row).sum() == 5.0 and math.fsum(row) == 7.0
+    for name, (kernel, _) in KERNEL_ENTRY_POINTS.items():
+        expected = 5.0 if name == "unrolled" else 6.0
+        assert kernel(a, x, None).tolist() == [expected], name
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_kernels_match_plain_python_oracles_bitwise(row_lengths, seed, parts):
+    # Columns, values and x come from a seeded generator: simple floats sum
+    # exactly in any order and would not tell summation orders apart.
+    rng = np.random.default_rng(seed)
+    entries = [(i, int(c), float(rng.uniform(-2.0, 2.0)))
+               for i, k in enumerate(row_lengths)
+               for c in rng.choice(30, size=k, replace=False)]
+    a = csr_from_triplets(TripletList.from_entries(len(row_lengths), 30, entries))
+    x = rng.uniform(-2.0, 2.0, 30)
+    lists = (a.rowptr.tolist(), a.colind.tolist(), a.values.tolist(), x.tolist())
+    part = partition_rows_by_nnz(a, parts)
+    assert spmv_baseline(a, x, part).tolist() == sequential_matvec(*lists)
+    assert spmv_unrolled(a, x, part).tolist() == four_lane_matvec(*lists)
+
+
 # --- diagnostic kernels -----------------------------------------------------------
 
 def test_noxmiss_scales_row_sums_by_x0(matrix_e):
@@ -208,22 +242,13 @@ def test_noxmiss_equals_baseline_on_zeroed_colind():
     t = random_triplets(rng, 20, 20, 0.2)
     a = csr_from_triplets(t)
     x = rng.uniform(0.5, 2.0, 20)
-    zeroed = CsrMatrix(a.nrows, a.ncols, a.rowptr,
-                       np.zeros_like(a.colind), a.values) \
-        if bool(np.all(a.row_nnz() <= 1)) else None
-    # general assertion via the kernel contract instead of constructing an
-    # (invalid) zero-column CSR: y[i] == x[0] * row_sum
-    sums = np.add.reduceat(a.values, a.rowptr[:-1][a.row_nnz() > 0]) \
-        if a.nnz else np.zeros(0)
+    # every row is x[0] times each value, summed left to right
     y = bench_noxmiss(a, x)
-    k = 0
     for i in range(a.nrows):
-        if a.rowptr[i + 1] > a.rowptr[i]:
-            expected = (a.values[a.rowptr[i]:a.rowptr[i + 1]] * x[0]).sum()
-            assert y[i] == expected
-            k += 1
-        else:
-            assert y[i] == 0.0
+        expected = 0.0
+        for v in a.values[a.rowptr[i]:a.rowptr[i + 1]].tolist():
+            expected += v * x[0]
+        assert y[i] == expected
 
 
 def test_noxmiss_is_identity_on_single_column_matrix():
@@ -246,7 +271,7 @@ def test_balance_reports_per_worker_durations(matrix_e):
     part = partition_rows_by_nnz(matrix_e, 4)
     timer = FakeTimer([0.004, 0.002, 0.002, 0.002])
     y, durations, mean = bench_balance(matrix_e, [1, 1, 1, 1], part,
-                                       timer=timer, sequential=True)
+                                       timer=timer)
     assert y.tolist() == [3, 3, 0, 15]
     assert durations == [0.004, 0.002, 0.002, 0.002]
     assert mean == pytest.approx(0.0025)
@@ -257,7 +282,7 @@ def test_balance_single_worker_mean_is_its_duration(matrix_e):
     part = partition_rows_by_nnz(matrix_e, 1)
     timer = FakeTimer([0.007])
     _, durations, mean = bench_balance(matrix_e, [1, 1, 1, 1], part,
-                                       timer=timer, sequential=True)
+                                       timer=timer)
     assert durations == [0.007]
     assert mean == 0.007
 
@@ -287,7 +312,7 @@ def _scheduled(kind):
 
 def _balance(a, x, part):
     part = partition_rows_by_nnz(a, 2) if part is None else part
-    return bench_balance(a, x, part, sequential=True)[0]
+    return bench_balance(a, x, part)[0]
 
 
 # (kernel(a, x, part), whether it accepts a partition)
@@ -333,5 +358,5 @@ def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
     timer = FakeTimer(measure_script(0.01, 0.01, 0.01, [0.01, 0.01], reps, 2))
     before = kernel_call_count()
     measure(matrix_e, np.ones(4), workers=2, reps=reps, warmup=warmup,
-            timer=timer, sequential=True)
+            timer=timer)
     assert kernel_call_count() - before == 4 * (reps + warmup)

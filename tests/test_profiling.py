@@ -6,7 +6,9 @@ import pytest
 
 from spmvtune import (BenchmarkReport, MatrixClass, OptimizationKind,
                       ThresholdConfig, classify_from_report,
-                      classify_profiling, measure, optimization_for)
+                      classify_profiling, csr_from_triplets, measure,
+                      optimization_for)
+from spmvtune.generate import generate_matrix
 
 from conftest import FakeTimer, measure_script
 
@@ -122,7 +124,7 @@ def test_measure_with_scripted_timer(matrix_e):
     timer = FakeTimer(measure_script(0.010, 0.006, 0.011, [0.010, 0.009],
                                      reps=1, workers=workers))
     r = measure(matrix_e, np.ones(4), workers=workers, reps=1, warmup=0,
-                timer=timer, sequential=True)
+                timer=timer)
     assert r.t_baseline == 0.010
     assert r.t_noxmiss == 0.006
     assert r.t_inflate == 0.011
@@ -133,7 +135,7 @@ def test_measure_with_scripted_timer(matrix_e):
 def test_measure_equal_times_scores_one(matrix_e):
     timer = FakeTimer(measure_script(0.01, 0.01, 0.01, [0.01], reps=3, workers=1))
     r = measure(matrix_e, np.ones(4), workers=1, reps=3, warmup=0,
-                timer=timer, sequential=True)
+                timer=timer)
     assert (r.s_cml, r.s_mb, r.s_imb) == (1.0, 1.0, 1.0)
 
 
@@ -141,14 +143,14 @@ def test_measure_takes_median_over_reps(matrix_e):
     reps = [0.003, 0.001, 0.002, 0.009, 0.002]
     script = reps + [0.01] * 5 + [0.01] * 5 + [0.01] * 5
     r = measure(matrix_e, np.ones(4), workers=1, reps=5, warmup=0,
-                timer=FakeTimer(script), sequential=True)
+                timer=FakeTimer(script))
     assert r.t_baseline == 0.002
 
 
 def test_measure_warmup_consumes_no_scripted_time(matrix_e):
     script = measure_script(0.01, 0.02, 0.03, [0.04], reps=1, workers=1)
     r = measure(matrix_e, np.ones(4), workers=1, reps=1, warmup=3,
-                timer=FakeTimer(script), sequential=True)
+                timer=FakeTimer(script))
     assert (r.t_baseline, r.t_noxmiss, r.t_inflate, r.t_balance_mean) == \
         (0.01, 0.02, 0.03, 0.04)
 
@@ -165,12 +167,12 @@ def test_classify_profiling_composition(matrix_e):
 
     # balance mean 0.010 -> everything ~1.0 -> CMP
     cls, report = classify_profiling(matrix_e, workers=2, reps=1, warmup=0,
-                                     timer=scripted(), sequential=True)
+                                     timer=scripted())
     assert cls is MatrixClass.CMP
     assert report.t_baseline == 0.010
     # deterministic: a fresh identical timer gives the same answer
     cls2, _ = classify_profiling(matrix_e, workers=2, reps=1, warmup=0,
-                                 timer=scripted(), sequential=True)
+                                 timer=scripted())
     assert cls2 is cls
 
 
@@ -179,6 +181,22 @@ def test_classify_profiling_detects_imbalance(matrix_e):
     timer = FakeTimer(measure_script(0.010, 0.009, 0.0101, [0.002, 0.002],
                                      reps=1, workers=2))
     cls, report = classify_profiling(matrix_e, workers=2, reps=1, warmup=0,
-                                     timer=timer, sequential=True)
+                                     timer=timer)
     assert report.s_imb == pytest.approx(5.0)
     assert cls is MatrixClass.IMB
+
+
+@pytest.mark.parametrize("kind, nrows, nnz_per_row, workers", [
+    ("small-dense", 100, 16, 1),  # driver work would be a large share here
+    ("banded", 24_000, 8, 2),
+])
+def test_uniform_matrix_is_not_labelled_imb(kind, nrows, nnz_per_row, workers):
+    # Real clock.  The partitions of a uniform matrix carry equal work, so
+    # s_imb must read about 1: neither the interpreter lock serializing the
+    # workers nor driver work outside the partition body may show as
+    # imbalance.  The median of three calls damps a noisy machine.
+    a = csr_from_triplets(generate_matrix(kind, nrows, nnz_per_row, seed=3))
+    runs = [classify_profiling(a, workers=workers) for _ in range(3)]
+    s_imb = sorted(report.s_imb for _, report in runs)[1]
+    assert s_imb < ThresholdConfig().theta_imb
+    assert [cls for cls, _ in runs].count(MatrixClass.IMB) <= 1
