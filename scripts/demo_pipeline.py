@@ -23,8 +23,9 @@ SHAPES = {
     "skewed": (4000, 6),
     "small-dense": (64, 16),
 }
-# One worker: CPython's interpreter lock serializes compute threads, so
-# multi-worker wall times cannot expose real imbalance; see README caveats.
+# One worker: on matrices this small a pooled run loses more to thread
+# hand-off than its workers overlap, and profiling times each partition
+# alone anyway; see README caveats.
 FLAGS = ["--workers", "1", "--reps", "3", "--warmup", "1",
          "--llc-bytes", "16384"]
 

@@ -56,16 +56,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(p):
-    p.add_argument("--config", help="JSON config file mirroring AdvisorConfig")
-    p.add_argument("--workers", type=int, help="worker count for kernels")
-    p.add_argument("--reps", type=int, help="timed repetitions per kernel")
-    p.add_argument("--warmup", type=int, help="untimed warmup runs per kernel")
-    p.add_argument("--llc-bytes", type=int, help="last-level cache capacity")
-    p.add_argument("--cacheline-bytes", type=int, help="cache line size")
-    p.add_argument("--subset", help="feature subset preset or comma list")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spmvtune",
                      description="Detect the dominant SpMV bottleneck of a sparse "
@@ -73,52 +63,61 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("advise", help="classify one matrix and recommend an optimization")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--mode", choices=("profiling", "features"), default="profiling")
-    p.add_argument("--model", help="trained model file (features mode)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the input vector")
-    _add_config_flags(p)
+    # Every dest here but "config" is an AdvisorConfig field: see _cfg_from_args.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file mirroring AdvisorConfig")
+    config.add_argument("--workers", type=int, help="worker count for kernels")
+    config.add_argument("--reps", type=int, help="timed repetitions per kernel")
+    config.add_argument("--warmup", type=int, help="untimed warmup runs per kernel")
+    config.add_argument("--llc-bytes", type=int, help="last-level cache capacity")
+    config.add_argument("--cacheline-bytes", type=int, help="cache line size")
+    config.add_argument("--subset", dest="feature_subset",
+                        help="feature subset preset or comma list")
 
-    p = sub.add_parser("train", help="train a feature-based classifier over a corpus")
-    p.add_argument("--corpus", required=True, help="directory of .mtx files")
-    p.add_argument("--labels", default="auto",
-                   help="'auto' (profile each matrix) or a CSV with matrix,label columns")
-    p.add_argument("--classifier", choices=("tree", "nb"), default="tree")
+    classify = argparse.ArgumentParser(add_help=False)
+    classify.add_argument("--matrix", required=True)
+    classify.add_argument("--mode", choices=("profiling", "features"),
+                          default="profiling")
+    classify.add_argument("--model", help="trained model file (features mode)")
+    classify.add_argument("--seed", type=int, default=0,
+                          help="seed for the input vector")
+
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True, help="directory of .mtx files")
+    corpus.add_argument("--labels", default="auto",
+                        help="'auto' (profile each matrix) or a CSV with "
+                             "matrix,label columns")
+    corpus.add_argument("--classifier", choices=("tree", "nb"), default="tree")
+    corpus.add_argument("--max-depth", type=int)
+    corpus.add_argument("--min-leaf", type=int, default=1)
+
+    sub.add_parser("advise", parents=[classify, config],
+                   help="classify one matrix and recommend an optimization")
+
+    p = sub.add_parser("train", parents=[corpus, config],
+                       help="train a feature-based classifier over a corpus")
     p.add_argument("--out", required=True, help="output model file (JSON)")
     p.add_argument("--features-csv", help="per-matrix feature/label log "
                                           "(default: model path with .features.csv)")
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-leaf", type=int, default=1)
-    _add_config_flags(p)
 
-    p = sub.add_parser("eval", help="leave-one-out accuracy of a classifier over a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", default="auto")
-    p.add_argument("--classifier", choices=("tree", "nb"), default="tree")
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-leaf", type=int, default=1)
-    _add_config_flags(p)
+    sub.add_parser("eval", parents=[corpus, config],
+                   help="leave-one-out accuracy of a classifier over a corpus")
 
-    p = sub.add_parser("bench", help="time kernel variants on one matrix")
+    p = sub.add_parser("bench", parents=[config],
+                       help="time kernel variants on one matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--variants", default=",".join(VARIANTS),
                    help=f"comma list from: {', '.join(VARIANTS)}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write variant,seconds,speedup CSV")
-    _add_config_flags(p)
 
     p = sub.add_parser("report", help="box-plot statistics over a speedup file")
     p.add_argument("--results", required=True,
                    help="file with one speedup per line (or CSV, last column)")
     p.add_argument("--out", help="write the summary as CSV")
 
-    p = sub.add_parser("overhead", help="classification cost in SpMV units")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--mode", choices=("profiling", "features"), default="profiling")
-    p.add_argument("--model")
-    p.add_argument("--seed", type=int, default=0)
-    _add_config_flags(p)
+    sub.add_parser("overhead", parents=[classify, config],
+                   help="classification cost in SpMV units")
 
     p = sub.add_parser("generate", help="write a synthetic Matrix Market file")
     p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
@@ -132,23 +131,17 @@ def _build_parser() -> _Parser:
 
 
 def _cfg_from_args(args) -> AdvisorConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             cfg = AdvisorConfig.from_file(args.config)
         except (ValueError, json.JSONDecodeError) as exc:
             raise DataError(f"bad config file {args.config}: {exc}") from exc
     else:
         cfg = AdvisorConfig()
-    overrides = {}
-    for flag, name in (("workers", "workers"), ("reps", "reps"),
-                       ("warmup", "warmup"), ("llc_bytes", "llc_bytes"),
-                       ("cacheline_bytes", "cacheline_bytes"),
-                       ("subset", "feature_subset")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+                 if getattr(args, f.name, None) is not None}
     try:
-        return dataclasses.replace(cfg, **overrides) if overrides else cfg
+        return dataclasses.replace(cfg, **overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -202,10 +195,10 @@ def _read_label_file(path) -> dict[str, MatrixClass]:
 
 
 def _profile(a: CsrMatrix, x, cfg: AdvisorConfig, timer):
-    """Profile one matrix, reading the injected ``timer`` if there is one."""
+    """Profile one matrix with ``cfg``'s workers, repetitions and thresholds."""
     return classify_profiling(a, x, workers=cfg.workers, reps=cfg.reps,
                               warmup=cfg.warmup, thresholds=cfg.thresholds,
-                              timer=timer or time.perf_counter)
+                              timer=timer)
 
 
 def _resolve_labels(args, cfg, matrices, timer):
@@ -255,8 +248,8 @@ def _load_feature_model(args) -> TrainedModel | None:
     if not args.model:
         raise UsageError("features mode requires --model")
     model = load_model(args.model)
-    if getattr(args, "subset", None) is not None:
-        requested = resolve_subset(args.subset)
+    if args.feature_subset is not None:
+        requested = resolve_subset(args.feature_subset)
         if tuple(requested) != tuple(model.feature_names):
             raise DataError(
                 f"model/feature-subset mismatch: model was trained on "
@@ -345,7 +338,6 @@ def _cmd_bench(args, timer) -> int:
     a = load_matrix(args.matrix)
     x = _spmv_input(a, args.seed)
     part = partition_rows_by_nnz(a, cfg.workers)
-    t = timer or time.perf_counter
     chunk = max(1, -(-a.nrows // (cfg.workers * 8)))
 
     runners = {"baseline": lambda: spmv_baseline(a, x, part)}
@@ -370,17 +362,18 @@ def _cmd_bench(args, timer) -> int:
             continue
         y = runners[name]()
         if name == "unrolled":
-            ok = np.allclose(y, y_ref, rtol=1e-10, atol=1e-12 * scale)
+            ok = np.allclose(y, y_ref, rtol=1e-10, atol=1e-12 * scale,
+                             equal_nan=True)
         else:
-            ok = np.array_equal(y, y_ref)
+            ok = np.array_equal(y, y_ref, equal_nan=True)
         if not ok:
             raise DataError(f"internal error: variant {name!r} disagrees with baseline")
 
-    t_base = median_time(runners["baseline"], cfg.reps, cfg.warmup, t)
+    t_base = median_time(runners["baseline"], cfg.reps, cfg.warmup, timer)
     rows = []
     for name in variants:
         seconds = (t_base if name == "baseline"
-                   else median_time(runners[name], cfg.reps, cfg.warmup, t))
+                   else median_time(runners[name], cfg.reps, cfg.warmup, timer))
         rows.append((name, seconds, t_base / seconds))
     best = max(rows, key=lambda r: r[2])
     for name, seconds, speedup in rows:
@@ -441,14 +434,13 @@ def _cmd_overhead(args, timer) -> int:
     x = _spmv_input(a, args.seed)
     part = partition_rows_by_nnz(a, cfg.workers)
     model = _load_feature_model(args)
-    t = timer or time.perf_counter
 
-    t0 = t()
+    t0 = timer()
     cls, _ = _classify(a, x, cfg, model, timer)
-    t_class = t() - t0
+    t_class = timer() - t0
 
     t_spmv = median_time(lambda: spmv_baseline(a, x, part), cfg.reps,
-                         cfg.warmup, t)
+                         cfg.warmup, timer)
     if t_spmv <= 0.0:
         raise DataError("t_spmv must be positive")
     print(f"mode {args.mode}")
@@ -484,7 +476,7 @@ _DISPATCH = {
 }
 
 
-def main(argv=None, *, timer=None) -> int:
+def main(argv=None, *, timer=time.perf_counter) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,8 +23,9 @@ class AdvisorConfig:
     feature_subset: str = "all"
 
     def __post_init__(self):
-        if min(self.llc_bytes, self.cacheline_bytes, self.workers, self.reps) < 1:
-            raise ValueError("llc_bytes, cacheline_bytes, workers and reps must be >= 1")
+        self.cache_config()  # raises on a bad cache geometry
+        if min(self.workers, self.reps) < 1:
+            raise ValueError("workers and reps must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         # The pooled kernels run one thread per worker.
@@ -36,7 +37,8 @@ class AdvisorConfig:
 
     @property
     def prefetch_distance(self) -> int:
-        return max(1, self.cacheline_bytes // 8)
+        """One cache line of values ahead."""
+        return self.cache_config().line_values
 
     def cache_config(self) -> CacheConfig:
         return CacheConfig(llc_bytes=self.llc_bytes,

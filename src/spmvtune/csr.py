@@ -295,14 +295,13 @@ def run_partitions(n: int, task, workers: int | None = None) -> None:
 
 
 def _row_kernel(a, x, part: RowPartition | None, body,
-                run=run_partitions) -> np.ndarray:
+                workers: int | None = None) -> np.ndarray:
     """The one driver of every kernel entry point.
 
     Counts the call, checks ``x`` and the partition (the whole matrix when
     ``part`` is None), builds ``a.row_of`` on the first call, allocates ``y``
-    and calls ``run(len(part), task)``, where ``task(p)`` runs
-    ``body(x, y, lo, hi)`` over partition p.  ``body`` fills ``y[lo:hi]``;
-    ``run`` schedules the tasks.
+    and runs ``body(x, y, lo, hi)`` over every partition through
+    ``run_partitions`` with ``workers`` threads.  ``body`` fills ``y[lo:hi]``.
     """
     global _kernel_calls
     _kernel_calls += 1
@@ -315,7 +314,7 @@ def _row_kernel(a, x, part: RowPartition | None, body,
         raise ValueError("partition does not cover all matrix rows")
     a.row_of  # built here, not by racing worker threads
     y = np.zeros(a.nrows, dtype=np.float64)
-    run(len(part), lambda p: body(x, y, *part.bounds(p)))
+    run_partitions(len(part), lambda p: body(x, y, *part.bounds(p)), workers)
     return y
 
 

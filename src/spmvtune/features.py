@@ -20,8 +20,6 @@ the N-denominator averages.  Standard deviations are population ones
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,7 +39,7 @@ class CacheConfig:
 
     def __post_init__(self):
         if self.llc_bytes <= 0 or self.cacheline_bytes <= 0:
-            raise ValueError("cache parameters must be positive")
+            raise ValueError("llc_bytes and cacheline_bytes must be positive")
         if self.cacheline_bytes % _VALUE_BYTES:
             raise ValueError(f"cacheline_bytes must be divisible by {_VALUE_BYTES}")
 
@@ -67,20 +65,6 @@ class FeatureVector:
     dispersion_sd: float
     clustering: float
     miss_ratio: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES],
-                        dtype=np.float64)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(FEATURE_NAMES)
-
-    def to_csv_row(self) -> str:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="").writerow(
-            [repr(float(getattr(self, name))) for name in FEATURE_NAMES])
-        return out.getvalue()
 
 
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))

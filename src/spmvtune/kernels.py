@@ -19,7 +19,7 @@ from statistics import fmean
 import numpy as np
 
 from .csr import (CsrMatrix, RowPartition, _RowOf, _accumulate_rows, _row_kernel,
-                  partition_rows_by_nnz, run_partitions, spmv_baseline)
+                  partition_rows_by_nnz, spmv_baseline)
 
 _DELTA_LIMITS = {8: 255, 16: 65535}
 _DELTA_DTYPES = {8: np.uint8, 16: np.uint16}
@@ -183,7 +183,7 @@ def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
     chunks = RowPartition(np.r_[0, np.arange(policy.chunk_rows, a.nrows,
                                              policy.chunk_rows), a.nrows])
     return _row_kernel(a, x, chunks, partial(_accumulate_rows, a, a.colind),
-                       partial(run_partitions, workers=workers))
+                       workers)
 
 
 def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -235,20 +235,17 @@ def _partition_times(a: CsrMatrix, colind, x, part: RowPartition, timer):
     """The baseline body over ``colind``, timing each partition alone.
 
     Returns ``(y, durations)`` where ``durations[p]`` is partition p's own
-    time.  The partitions run one after another: CPython runs one numpy
-    body at a time under its interpreter lock, so workers timed side by
-    side would be charged for each other's work.
+    time.  One worker runs the partitions in order, so no partition's time
+    includes another's work.
     """
-    durations = [0.0] * len(part)
+    durations = []
 
-    def run(n, task):
-        for p in range(n):
-            t0 = timer()
-            task(p)
-            durations[p] = timer() - t0
+    def body(x, y, lo, hi):
+        t0 = timer()
+        _accumulate_rows(a, colind, x, y, lo, hi)
+        durations.append(timer() - t0)
 
-    body = partial(_accumulate_rows, a, colind)
-    return _row_kernel(a, x, part, body, run), durations
+    return _row_kernel(a, x, part, body, workers=1), durations
 
 
 def bench_balance(a: CsrMatrix, x, part: RowPartition, timer=time.perf_counter):

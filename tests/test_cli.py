@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import threading
@@ -158,6 +159,15 @@ def test_bench_variant_off_by_one_ulp_fails_the_gate(tmp_path, capsys, monkeypat
     assert run(["bench", "--matrix", matrix, "--variants", "baseline,prefetch",
                 *FAST], timer=FakeTimer([0.01, 0.01])) == 2
     assert "disagrees with baseline" in capsys.readouterr().err
+
+
+def test_bench_nan_entry_passes_the_gate(tmp_path, capsys):
+    matrix = tmp_path / "nan.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "2 2 2\n1 1 nan\n2 2 1.0\n")
+    assert run(["bench", "--matrix", matrix, *FAST],
+               timer=FakeTimer([0.010, 0.009, 0.008, 0.011, 0.012])) == 0
+    assert "best prefetch\n" in capsys.readouterr().out
 
 
 def test_bench_unknown_variant_is_usage_error(tmp_path):
@@ -585,6 +595,94 @@ def test_config_with_wrong_typed_value_is_one_line_data_error(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith("error: bad config file ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["advise", "--mode", "profiling"], ["advise", "--mode", "features"],
+    ["bench"], ["overhead"], ["train"], ["eval"]],
+    ids=["advise-profiling", "advise-features", "bench", "overhead", "train", "eval"])
+def test_bad_cacheline_is_one_line_error_in_every_command(tmp_path, capsys, command):
+    corpus, labels = _label_corpus(tmp_path)
+    inputs = {"advise": ["--matrix", corpus / "banded_0.mtx",
+                         "--model", stub_model_path(tmp_path)],
+              "bench": ["--matrix", corpus / "banded_0.mtx"],
+              "overhead": ["--matrix", corpus / "banded_0.mtx"],
+              "train": ["--corpus", corpus, "--labels", labels,
+                        "--out", tmp_path / "m.json"],
+              "eval": ["--corpus", corpus, "--labels", labels]}[command[0]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cacheline_bytes": 12}))
+    for flags, code in ((["--cacheline-bytes", 12], 1), (["--config", cfg], 2)):
+        capsys.readouterr()
+        assert run([*command, *inputs, *FAST, *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "cacheline_bytes must be divisible by 8" in captured.err
+
+
+# Each subcommand's options: strings -> (default, required, type, choices).
+_CONFIG_OPTIONS = {
+    "--config": (None, False, None, None),
+    "--workers": (None, False, int, None),
+    "--reps": (None, False, int, None),
+    "--warmup": (None, False, int, None),
+    "--llc-bytes": (None, False, int, None),
+    "--cacheline-bytes": (None, False, int, None),
+    "--subset": (None, False, None, None),
+}
+_CLASSIFY_OPTIONS = {
+    "--matrix": (None, True, None, None),
+    "--mode": ("profiling", False, None, ("profiling", "features")),
+    "--model": (None, False, None, None),
+    "--seed": (0, False, int, None),
+}
+_CORPUS_OPTIONS = {
+    "--corpus": (None, True, None, None),
+    "--labels": ("auto", False, None, None),
+    "--classifier": ("tree", False, None, ("tree", "nb")),
+    "--max-depth": (None, False, int, None),
+    "--min-leaf": (1, False, int, None),
+}
+CLI_OPTIONS = {
+    "advise": {**_CLASSIFY_OPTIONS, **_CONFIG_OPTIONS},
+    "train": {**_CORPUS_OPTIONS, **_CONFIG_OPTIONS,
+              "--out": (None, True, None, None),
+              "--features-csv": (None, False, None, None)},
+    "eval": {**_CORPUS_OPTIONS, **_CONFIG_OPTIONS},
+    "bench": {**_CONFIG_OPTIONS,
+              "--matrix": (None, True, None, None),
+              "--variants": ("baseline,delta,prefetch,dynamic,unrolled",
+                             False, None, None),
+              "--seed": (0, False, int, None),
+              "--out": (None, False, None, None)},
+    "report": {"--results": (None, True, None, None),
+               "--out": (None, False, None, None)},
+    "overhead": {**_CLASSIFY_OPTIONS, **_CONFIG_OPTIONS},
+    "generate": {"--kind": (None, True, None,
+                            ("banded", "irregular", "skewed", "small-dense")),
+                 "--n": (None, True, int, None),
+                 "--ncols": (None, False, int, None),
+                 "--nnz-per-row": (None, True, int, None),
+                 "--seed": (0, False, int, None),
+                 "--out": (None, True, None, None)},
+}
+
+
+def test_cli_option_table_is_pinned():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {}
+    for command, parser in subparsers.choices.items():
+        got[command] = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (flag,) = action.option_strings
+            got[command][flag] = (action.default, action.required, action.type,
+                                  None if action.choices is None
+                                  else tuple(action.choices))
+    assert got == CLI_OPTIONS
 
 
 def test_bad_subset_flag_is_usage_error(tmp_path):

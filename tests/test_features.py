@@ -1,13 +1,15 @@
+import csv
 import math
 import time
 
 import numpy as np
 import pytest
 
-from spmvtune import (CacheConfig, CsrMatrix, FEATURE_NAMES, FEATURE_SUBSETS,
-                      FeatureVector, TripletList, csr_from_triplets,
-                      extract_features, resolve_subset, select_features,
-                      working_set_bytes)
+from spmvtune import (AdvisorConfig, CacheConfig, CsrMatrix, FEATURE_NAMES,
+                      FEATURE_SUBSETS, FeatureVector, TripletList,
+                      csr_from_triplets, extract_features, load_matrix,
+                      resolve_subset, select_features, working_set_bytes)
+from spmvtune.cli import main
 
 from conftest import random_triplets
 from oracles import dense_from_triplets, feature_oracle
@@ -133,8 +135,8 @@ def test_features_invariant_under_row_permutation():
     a = csr_from_triplets(t)
     perm = rng.permutation(40)
     shuffled = csr_from_triplets(TripletList(40, 40, perm[t.rows], t.cols, t.vals))
-    fv_a = extract_features(a, BIG_LLC).as_array()
-    fv_b = extract_features(shuffled, BIG_LLC).as_array()
+    fv_a = select_features(extract_features(a, BIG_LLC), FEATURE_NAMES)
+    fv_b = select_features(extract_features(shuffled, BIG_LLC), FEATURE_NAMES)
     assert np.allclose(fv_a, fv_b, rtol=1e-12, atol=1e-15)
 
 
@@ -159,9 +161,27 @@ def test_feature_extraction_builds_no_row_index(matrix_e):
     assert "row_of" not in vars(matrix_e)
 
 
-def test_csv_row_round_trips(matrix_e):
-    fv = extract_features(matrix_e, BIG_LLC)
-    header = FeatureVector.csv_header().split(",")
-    assert tuple(header) == FEATURE_NAMES
-    row = [float(tok) for tok in fv.to_csv_row().split(",")]
-    assert row == fv.as_array().tolist()
+def test_csv_row_round_trips(tmp_path):
+    """The feature log that ``train`` writes holds each matrix's features
+    in FEATURE_NAMES order, bit for bit."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for kind, seed in (("banded", 0), ("irregular", 1)):
+        assert main(["generate", "--kind", kind, "--n", "30", "--nnz-per-row", "4",
+                     "--seed", str(seed), "--out", str(corpus / f"{kind}.mtx")]) == 0
+    labels = tmp_path / "labels.csv"
+    labels.write_text("matrix,label\nbanded,MB\nirregular,CML\n")
+    log = tmp_path / "log.csv"
+    assert main(["train", "--corpus", str(corpus), "--labels", str(labels),
+                 "--out", str(tmp_path / "m.json"), "--features-csv", str(log),
+                 "--llc-bytes", "4096", "--cacheline-bytes", "128"]) == 0
+    cfg = AdvisorConfig(llc_bytes=4096, cacheline_bytes=128)
+    with open(log, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["matrix", *FEATURE_NAMES, "label"]
+    assert [row[0] for row in rows] == ["banded", "irregular"]
+    for row in rows:
+        fv = extract_features(load_matrix(corpus / f"{row[0]}.mtx"), cfg.cache_config())
+        want = select_features(fv, FEATURE_NAMES)
+        got = np.array([float(tok) for tok in row[1:-1]])
+        assert got.tobytes() == want.tobytes()

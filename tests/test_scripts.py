@@ -15,3 +15,17 @@ def test_bench_variants_script_runs_generate_bench_report():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert any(line.startswith("best ") for line in done.stdout.splitlines())
+
+
+def test_demo_pipeline_script_runs_train_eval_advise(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "scripts/demo_pipeline.py", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("loo_accuracy ") for line in lines)
+    assert any(line.startswith("optimization: ") for line in lines)
+    assert (tmp_path / "model.json").is_file()
