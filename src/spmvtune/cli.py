@@ -356,7 +356,8 @@ def _cmd_bench(args, timer) -> int:
     # Correctness gate before any timing: a speedup from a wrong answer is
     # worthless.
     y_ref = spmv_baseline(a, x, part)
-    scale = max(1.0, float(np.abs(y_ref).max()) if y_ref.size else 1.0)
+    finite = np.abs(y_ref[np.isfinite(y_ref)])  # an inf would make atol inf
+    scale = max(1.0, float(finite.max()) if finite.size else 1.0)
     for name in variants:
         if name == "baseline":
             continue

@@ -203,13 +203,21 @@ class RowPartition:
 
 
 def csr_from_triplets(t: TripletList, index_width: int = 32) -> CsrMatrix:
-    """Build a CSR matrix: entries sorted by (row, col), duplicates summed."""
-    order = np.lexsort((t.cols, t.rows))
-    rows, cols, vals = t.rows[order], t.cols[order], t.vals[order]
-    fresh = np.ones(rows.size, dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    idx = np.flatnonzero(fresh)
-    rows, cols, vals = rows[idx], cols[idx], np.add.reduceat(vals, idx)
+    """Build a CSR matrix: entries sorted by (row, col), duplicates summed.
+
+    Entries already in strictly increasing (row, col) order, as the writer
+    and the generators emit them, are taken as they are.
+    """
+    step = np.diff(t.rows)
+    if np.all((step > 0) | (step == 0) & (np.diff(t.cols) > 0)):
+        rows, cols, vals = t.rows, t.cols.copy(), t.vals.copy()  # not the caller's arrays
+    else:
+        order = np.lexsort((t.cols, t.rows))
+        rows, cols, vals = t.rows[order], t.cols[order], t.vals[order]
+        fresh = np.ones(rows.size, dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        idx = np.flatnonzero(fresh)
+        rows, cols, vals = rows[idx], cols[idx], np.add.reduceat(vals, idx)
     rowptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=t.nrows))))
     return CsrMatrix(t.nrows, t.ncols, rowptr, cols, vals, index_width=index_width)
 

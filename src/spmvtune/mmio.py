@@ -33,8 +33,28 @@ def parse_matrix_market(source) -> TripletList:
     converted to 0-based; ``pattern`` entries get value 1.0.  A symmetric
     matrix must be square and list only its lower triangle, whose
     off-diagonal entries are mirrored.
+
+    A well-formed body is parsed in one vectorized pass; a body that pass
+    rejects is read again line by line, which names the first bad line.
     """
     lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    header = _read_header(lines)
+    if hasattr(lines, "read"):
+        text, lines = lines.read(), None
+    else:
+        lines = list(lines)
+        text = "".join(lines)
+        if list(io.StringIO(text)) != lines:  # joining merged or split lines
+            text = ""
+    t = _parse_body(text, *header)
+    if t is None:  # a StringIO is built only here: it holds 4 bytes per character
+        t = _parse_lines(io.StringIO(text) if lines is None else lines, *header)
+    return t
+
+
+def _read_header(lines) -> tuple[int, int, int, bool, bool]:
+    """Consume the banner and size line: ``(nrows, ncols, declared,
+    pattern, symmetric)``."""
     try:
         banner = next(lines)
     except StopIteration:
@@ -52,8 +72,7 @@ def parse_matrix_market(source) -> TripletList:
     if symmetry not in _SYMMETRIES:
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
-    body = _content(lines)
-    size_line = next(body, None)
+    size_line = next(_content(lines), None)
     if size_line is None:
         raise MatrixMarketError("missing size line")
     parts = size_line.split()
@@ -68,21 +87,52 @@ def parse_matrix_market(source) -> TripletList:
     symmetric = symmetry == "symmetric"
     if symmetric and nrows != ncols:
         raise MatrixMarketError(f"symmetric matrix must be square, not {nrows}x{ncols}")
+    return nrows, ncols, declared, field == "pattern", symmetric
 
-    want_value = field != "pattern"
+
+def _parse_body(text, nrows, ncols, declared, pattern, symmetric):
+    """The entries of ``text`` from one ``np.loadtxt`` call, or None when
+    the body is empty or fails a check, so the line loop must decide."""
+    if not declared or not text or text.isspace():
+        return None  # loadtxt warns on a body without data
+    try:
+        # A list of lines: loadtxt reads it faster than a stream of them.
+        entries = np.loadtxt(text.split("\n"), comments=None, ndmin=1,
+                             dtype="i8,i8" if pattern else "i8,i8,f8")
+    except ValueError:
+        return None
+    i, j = entries["f0"], entries["f1"]
+    if (entries.size != declared or i.min() < 1 or i.max() > nrows
+            or j.min() < 1 or j.max() > ncols or symmetric and np.any(i < j)):
+        return None
+    rows, cols = i - 1, j - 1
+    vals = np.ones(declared) if pattern else entries["f2"].copy()
+    if symmetric:
+        # Each off-diagonal entry is followed by its mirror, as in the loop.
+        take = np.repeat(np.arange(declared), 1 + (rows != cols))
+        mirror = np.zeros(take.size, dtype=bool)
+        mirror[1:] = take[1:] == take[:-1]
+        rows, cols = (np.where(mirror, cols[take], rows[take]),
+                      np.where(mirror, rows[take], cols[take]))
+        vals = vals[take]
+    return TripletList(nrows, ncols, rows, cols, vals)
+
+
+def _parse_lines(lines, nrows, ncols, declared, pattern, symmetric) -> TripletList:
+    """The entry lines, one at a time; raises on the first bad one."""
     rows, cols, vals = [], [], []
     seen = 0
-    for stripped in body:
+    for stripped in _content(lines):
         seen += 1
         if seen > declared:
             raise MatrixMarketError(
                 f"more than the declared {declared} entries present")
         toks = stripped.split()
-        if len(toks) != (3 if want_value else 2):
+        if len(toks) != (2 if pattern else 3):
             raise MatrixMarketError(f"malformed entry line: {stripped!r}")
         try:
             i, j = int(toks[0]), int(toks[1])
-            v = float(toks[2]) if want_value else 1.0
+            v = 1.0 if pattern else float(toks[2])
         except ValueError:
             raise MatrixMarketError(f"malformed entry line: {stripped!r}") from None
         if not (1 <= i <= nrows and 1 <= j <= ncols):

@@ -170,6 +170,24 @@ def test_bench_nan_entry_passes_the_gate(tmp_path, capsys):
     assert "best prefetch\n" in capsys.readouterr().out
 
 
+def test_bench_infinite_entry_keeps_the_unrolled_gate(tmp_path, capsys, monkeypatch):
+    matrix = tmp_path / "inf.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "2 2 2\n1 1 inf\n2 2 1.0\n")
+    right = cli.spmv_unrolled
+
+    def wrong_row_2(*args):
+        y = right(*args)
+        y[1] *= 1.5
+        return y
+
+    monkeypatch.setattr(cli, "spmv_unrolled", wrong_row_2)
+    assert run(["bench", "--matrix", matrix, "--variants", "baseline,unrolled",
+                *FAST], timer=FakeTimer([0.01, 0.01])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "disagrees with baseline" in err
+
+
 def test_bench_unknown_variant_is_usage_error(tmp_path):
     matrix = generate(tmp_path, "banded", 8, 2, 0)
     assert run(["bench", "--matrix", matrix, "--variants", "warp-shuffle"]) == 1

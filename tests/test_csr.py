@@ -1,13 +1,15 @@
+import io
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spmvtune import (CsrMatrix, MatrixMarketError, TripletList,
                       csr_from_triplets, load_matrix, parse_matrix_market,
                       partition_rows_by_nnz, spmv_baseline, to_dense,
                       write_matrix_market, read_matrix_market)
+from spmvtune import mmio
 from spmvtune.csr import run_partitions
 
 from conftest import random_triplets
@@ -109,6 +111,166 @@ def test_write_read_round_trip(tmp_path):
     assert csr_from_triplets(back) == csr_from_triplets(t)
 
 
+# --- The vectorized parser against the line loop -----------------------------
+
+def _line_loop(source):
+    """The reference parser: the header reader, then only the line loop."""
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    return mmio._parse_lines(lines, *mmio._read_header(lines))
+
+
+def _outcome(parse, text):
+    """Bitwise triplets (dtype and bytes of each array) or the error message."""
+    try:
+        t = parse(text)
+    except MatrixMarketError as exc:
+        return str(exc)
+    return (t.nrows, t.ncols, *((v.dtype.str, v.tobytes())
+                                for v in (t.rows, t.cols, t.vals)))
+
+
+_REAL = "%%MatrixMarket matrix coordinate real general\n"
+_SYM = "%%MatrixMarket matrix coordinate real symmetric\n"
+_PAT = "%%MatrixMarket matrix coordinate pattern general\n"
+_PAT_SYM = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+_INT = "%%MatrixMarket matrix coordinate integer general\n"
+
+TRICKY_INPUTS = [
+    # Index tokens that int() and loadtxt read differently, or not at all.
+    _REAL + "2 2 1\n1.0 1 1.0\n",
+    _REAL + "2 2 1\n1e0 1 1.0\n",
+    _REAL + "12 12 1\n1_0 1 1.0\n",
+    _REAL + "2 2 1\n+1 01 1.0\n",
+    _REAL + "2 2 1\n0x1 1 1.0\n",
+    _REAL + "2 2 1\n١ 1 1.0\n",
+    _REAL + "2 2 1\n99999999999999999999 1 1.0\n",
+    _PAT + "2 2 1\n1 1.0\n",
+    # Value tokens.
+    _REAL + "2 2 2\n1 1 1_0\n2 2 3\n",
+    _REAL + "2 2 2\n1 1 0x1p3\n2 2 3\n",
+    _REAL + "2 2 2\n1 1 inf\n2 2 -inf\n",
+    _REAL + "2 2 2\n1 1 +inf\n2 2 Infinity\n",
+    _REAL + "2 2 2\n1 1 -nan\n2 2 nan\n",
+    _REAL + "2 2 1\n1 1 +nan\n",
+    _REAL + "2 2 2\n1 1 1e400\n2 2 -1e400\n",
+    _REAL + "2 2 2\n1 1 1e-400\n2 2 -0.0\n",
+    _REAL + "2 2 2\n1 1 2.\n2 2 .5\n",
+    _REAL + "2 2 1\n1 1 1d5\n",
+    _REAL + "2 2 1\n1 1 nan(1)\n",
+    _REAL + "2 2 1\n1 1 ٣.٥\n",
+    _INT + "2 2 2\n1 2 4\n2 1 1.5\n",
+    _SYM + "2 2 2\n1 1 -nan\n2 1 -inf\n",
+    # Separators and line ends.
+    _REAL + "2 2 2\n1\t1\t2.0\n2\t2\t3\n",
+    (_REAL + "2 2 2\n1 1 2.0\n2 2 3\n").replace("\n", "\r\n"),
+    _REAL + "2 2 2\n1 1 2.0\r2 2 3\n",
+    _REAL + "2 2 1\n1 1 2.0\r",
+    _REAL + "2 2 2\n1\x0c1 2.0\n2 2 3\n",
+    _REAL + "2 2 2\n1 1 2.0\n\x0c\n2 2 3\n",
+    _REAL + "2 2 2\n1\x0b1 2.0\n2 2 3\n",
+    _REAL + "2 2 2\n1\xa01 2.0\n2 2 3\n",
+    _REAL + "2 2 2\n 1 1 2.0 \n2 2 3 ",
+    _REAL + "2 2 2\n1 1 2.0\x00\n2 2 3\n",
+    # Inline comments and quotes.
+    _REAL + "2 2 2\n1 1 2.0 % note\n2 2 3\n",
+    _REAL + "2 2 2\n1 1 2.0#x\n2 2 3\n",
+    _REAL + "2 2 2\n# note\n1 1 2.0\n2 2 3\n",
+    _REAL + '2 2 2\n"1" 1 2.0\n2 2 3\n',
+    _REAL + "2 2 2\n'1' 1 2.0\n2 2 3\n",
+    _REAL + '2 2 1\n"1 1 2.0"\n',
+    # Blank and comment lines in the body.
+    _REAL + "2 2 2\n1 1 2.0\n\n2 2 3\n\n",
+    _REAL + "2 2 2\n1 1 2.0\n \t \n2 2 3\n",
+    _REAL + "2 2 2\n1 1 2.0\n% between\n2 2 3\n%\n",
+    _REAL + "2 2 1\n% only a comment\n",
+    _REAL + "2 2 1\n\n  \n",
+    _REAL + "3 4 0\n\n  \n",
+    # Entry counts.
+    _REAL + "2 2 3\n1 1 2.0\n2 2 3\n",
+    _REAL + "2 2 1\n1 1 2.0\n2 2 3\n",
+    _REAL + "2 2 0\n1 1 2.0\n",
+    _PAT + "2 2 1\n1 1 1\n",
+    # Bounds.
+    _REAL + "2 2 2\n0 1 2.0\n2 2 3\n",
+    _REAL + "2 2 2\n1 1 2.0\n3 2 3\n",
+    _REAL + "2 2 2\n1 3 2.0\n2 2 3\n",
+    _PAT + "2 2 2\n1 -1\n2 2\n",
+    # Symmetric storage.
+    _SYM + "2 2 2\n1 1 1.0\n1 2 3.0\n",
+    _PAT_SYM + "3 3 2\n2 1\n2 3\n",
+    _SYM + "3 3 4\n3 1 1.0\n3 1 2.0\n2 2 4.0\n3 2 5.0\n",
+    _PAT_SYM + "3 3 3\n2 1\n3 3\n3 1\n",
+]
+
+
+@pytest.mark.parametrize("text", TRICKY_INPUTS)
+def test_parse_matches_line_loop_on_tricky_input(text):
+    assert _outcome(parse_matrix_market, text) == _outcome(_line_loop, text)
+
+
+_BAD_TOKENS = ["1.0", "1e0", "1_0", "0x1p3", "inf", "-inf", "-nan", "nan", "1e400",
+               "-0.0", "0", "-1", "+1", "01", "%", "#", "2#x", '"1"', "١",
+               "99999999999999999999", ""]
+_SEPARATORS = [" ", "  ", "\t", "\x0c", "\x0b", "\r", "\xa0"]
+_EXTRA_LINES = ["", "  ", "%", "% comment", "\x0c", "# x", "1 1 1.0 % x"]
+_VALUES = st.one_of(st.floats(allow_subnormal=True).map(repr),
+                    st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def mutated_bodies(draw):
+    field = draw(st.sampled_from(["real", "integer", "pattern"]))
+    symmetric = draw(st.booleans())
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if symmetric else draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(1, nrows), st.integers(1, ncols))
+    if symmetric:
+        pairs = pairs.map(lambda p: (max(p), min(p)))
+    lines = [[str(i), str(j)] + ([] if field == "pattern" else [draw(_VALUES)])
+             for i, j in draw(st.lists(pairs, max_size=8))]
+    declared = len(lines) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    for _ in range(draw(st.integers(0, 2))):
+        if lines and draw(st.booleans()):
+            line = draw(st.sampled_from(lines))
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        else:
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, [draw(st.sampled_from(_EXTRA_LINES))])
+    sep = draw(st.sampled_from(_SEPARATORS)) if draw(st.booleans()) else " "
+    end = draw(st.sampled_from(["\n", "\r\n", " \n"]))
+    return (f"%%MatrixMarket matrix coordinate {field} "
+            f"{'symmetric' if symmetric else 'general'}\n"
+            f"{nrows} {ncols} {max(declared, 0)}\n"
+            + "".join(sep.join(line) + end for line in lines))
+
+
+@settings(max_examples=400)
+@given(mutated_bodies())
+def test_parse_matches_line_loop_on_generated_bodies(text):
+    assert _outcome(parse_matrix_market, text) == _outcome(_line_loop, text)
+
+
+@pytest.mark.parametrize("lines", [
+    (_REAL + "2 2 2\n1 1 2.0\n2 2 3\n").splitlines(),
+    [_REAL, "2 2 2\n", "1 1 ", "2.0\n", "2 2 3\n"],
+    [_REAL, "2 2 2\n", "1 1 2.0\n2 2 3\n"],
+])
+def test_parse_line_list_matches_line_loop(lines):
+    assert _outcome(parse_matrix_market, lines) == _outcome(_line_loop, lines)
+
+
+def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(mmio, "_parse_lines", None)  # any call would fail
+    for field, symmetry, body in [("real", "general", "1 1 2.5\n2 1 -nan\n"),
+                                  ("integer", "general", "1 2 4\n2 1 -7\n"),
+                                  ("pattern", "general", "1 2\n2 1\n"),
+                                  ("real", "symmetric", "1 1 1.0\n2 1 3.0\n")]:
+        path = tmp_path / f"{field}-{symmetry}.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} {symmetry}\n"
+                        f"2 2 2\n{body}")
+        assert len(read_matrix_market(path)) >= 2
+
+
 # --- CSR construction --------------------------------------------------------
 
 def test_csr_from_triplets_reference_matrix(matrix_e):
@@ -129,6 +291,23 @@ def test_csr_from_triplets_sums_duplicates():
     t = TripletList.from_entries(1, 1, [(0, 0, 1.0), (0, 0, 2.0)])
     a = csr_from_triplets(t)
     assert a.values.tolist() == [3.0]
+
+
+@given(triplet_lists(), st.randoms(use_true_random=False))
+def test_csr_from_triplets_ignores_order_and_sums_duplicates(t, rnd):
+    order = np.lexsort((t.cols, t.rows))
+    ordered = TripletList(t.nrows, t.ncols, t.rows[order], t.cols[order], t.vals[order])
+    shuffle = list(range(len(t)))
+    rnd.shuffle(shuffle)
+    shuffled = TripletList(t.nrows, t.ncols, t.rows[shuffle], t.cols[shuffle],
+                           t.vals[shuffle])
+    halves = TripletList(t.nrows, t.ncols, np.repeat(ordered.rows, 2),
+                         np.repeat(ordered.cols, 2), np.repeat(ordered.vals / 2, 2))
+    expected = csr_from_triplets(ordered)
+    assert csr_from_triplets(shuffled) == expected
+    assert csr_from_triplets(halves) == expected
+    ordered.vals += 1.0  # the matrix does not share the triplets' arrays
+    assert csr_from_triplets(shuffled) == expected
 
 
 def test_csr_invariant_violations_rejected():
