@@ -1,0 +1,193 @@
+"""The partition bodies of every kernel, and the one choice of backend.
+
+A partition body ``body(x, y, lo, hi)`` fills ``y[lo:hi]`` of ``y = A x``.
+There are four kinds: ``rows`` (the left-to-right row sum), ``prefetch``,
+``unrolled`` (four lanes and a tail) and ``delta`` (CSR-DU decoding).  Each
+exists on two backends that sum every row in the same order, so they agree
+bit for bit:
+
+* native: the C functions of ``_native.c``, called through ``ctypes``,
+  which releases the interpreter lock, so pooled workers run side by side;
+* numpy: vectorized bodies over ``a.row_of``, the row of each nonzero.
+
+The first kernel call, never the import, builds the library with ``$CC``
+(default ``cc``) and ``FLAGS`` into ``$XDG_CACHE_HOME/spmvtune/`` (default
+``~/.cache/spmvtune/``), under a name keyed by the sha256 of the source and
+the compile command, and loads it.  Without a compiler, when the compile
+fails or when the cache is not writable, the numpy bodies run, and
+``backend()`` says why.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import threading
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+# No -ffast-math and no -march=native: a fused multiply-add or a
+# reassociated sum would change results in the last bit.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_SOURCE = Path(__file__).with_name("_native.c")
+
+# (the library or None, the backend's description), set on first use.
+_state: tuple[ctypes.CDLL | None, str] | None = None
+_state_lock = threading.Lock()
+
+
+def library() -> ctypes.CDLL | None:
+    """The native library, built and loaded on the first call; None when
+    the numpy bodies run."""
+    global _state
+    if _state is None:
+        with _state_lock:
+            if _state is None:
+                _state = _load()
+    return _state[0]
+
+
+def backend() -> str:
+    """``native``, or ``numpy (<why the library is not loaded>)``."""
+    library()
+    return _state[1]
+
+
+def _load() -> tuple[ctypes.CDLL | None, str]:
+    try:
+        lib = ctypes.CDLL(str(_build()))
+    # RuntimeError: no home directory; ValueError: a CC shlex cannot split.
+    except (OSError, RuntimeError, ValueError) as exc:
+        return None, f"numpy ({' '.join(str(exc).split())})"
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    for width in ("i32", "i64"):
+        for name, argtypes in ((f"spmv_rows_{width}", [pointer] * 5 + [count] * 2),
+                               (f"spmv_prefetch_{width}", [pointer] * 5 + [count] * 3),
+                               (f"spmv_unrolled_{width}", [pointer] * 5 + [count] * 2),
+                               (f"spmv_delta8_{width}", [pointer] * 9 + [count] * 2),
+                               (f"spmv_delta16_{width}", [pointer] * 9 + [count] * 2)):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, None
+    return lib, "native"
+
+
+def _build() -> Path:
+    """The cached library, compiled first when the cache lacks it."""
+    import hashlib
+
+    cc = os.environ.get("CC") or "cc"
+    command = "\0".join([cc, *FLAGS]).encode()
+    key = hashlib.sha256(_SOURCE.read_bytes() + b"\0" + command).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "spmvtune"
+    lib = cache / f"_native-{key[:16]}.so"
+    if not lib.exists():
+        _compile(cc, lib)
+    return lib
+
+
+def _compile(cc: str, lib: Path) -> None:
+    """Compile into a temporary file beside ``lib`` and rename it into place,
+    so a process racing this one never loads half a file.  Raises OSError."""
+    # Imported only here: a process that finds the library cached never
+    # pays for them.
+    import shlex
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=lib.parent, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run([*shlex.split(cc), *FLAGS, "-o", tmp, str(_SOURCE)], check=True,
+                       capture_output=True, text=True, timeout=120)
+        os.replace(tmp, lib)
+    except subprocess.CalledProcessError as exc:
+        first = exc.stderr.strip().splitlines()[:1]
+        raise OSError(first[0] if first else f"{cc} exited {exc.returncode}") from None
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"{cc} ran longer than {exc.timeout} s") from None
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+# --- numpy bodies -------------------------------------------------------------
+
+def _accumulate_rows(a, colind, x, y, lo: int, hi: int, first: int = 0) -> None:
+    """``y[i]`` = the sum of row i's products, for rows ``lo..hi`` of ``a``.
+
+    ``np.bincount`` adds each product into its row's slot in element order,
+    so every row is summed left to right.  ``colind`` starts at nonzero
+    ``first`` (``rowptr[lo]`` for a partition's decoded columns).
+    """
+    s, e = a.rowptr[lo], a.rowptr[hi]
+    y[lo:hi] = np.bincount(a.row_of[s:e] - lo, minlength=hi - lo,
+                           weights=a.values[s:e] * x[colind[s - first:e - first]])
+
+
+def _prefetch_rows(a, distance, x, y, lo, hi) -> None:
+    # numpy can issue no cache hint: the row sum alone.
+    _accumulate_rows(a, a.colind, x, y, lo, hi)
+
+
+def _unrolled_rows(a, x, y, lo, hi) -> None:
+    """Each row's first ``nnz - nnz % 4`` products go round-robin to lanes
+    0-3 and the rest to tail lane 4; one ``bincount`` over ``5 * row + lane``
+    sums each lane left to right, combined as ((s0+s1)+(s2+s3)) + tail."""
+    s, e = a.rowptr[lo], a.rowptr[hi]
+    ptr = a.rowptr[lo:hi + 1]
+    rows = a.row_of[s:e] - np.int64(lo)
+    pos = np.arange(s, e) - ptr[rows]  # each product's place in its row
+    lanes_end = np.diff(ptr) // 4 * 4
+    keys = 5 * rows + np.where(pos < lanes_end[rows], pos % 4, 4)
+    sums = np.bincount(keys, weights=a.values[s:e] * x[a.colind[s:e]],
+                       minlength=5 * (hi - lo)).reshape(-1, 5)
+    y[lo:hi] = ((sums[:, 0] + sums[:, 1]) + (sums[:, 2] + sums[:, 3])) + sums[:, 4]
+
+
+def _delta_rows(d, x, y, lo, hi) -> None:
+    """Decodes the range's columns in one ``decode_rows`` pass, then sums."""
+    _accumulate_rows(d, d.decode_rows(lo, hi), x, y, lo, hi, first=d.rowptr[lo])
+
+
+_NUMPY = {"rows": _accumulate_rows, "prefetch": _prefetch_rows,
+          "unrolled": _unrolled_rows, "delta": _delta_rows}
+
+
+# --- the choice ---------------------------------------------------------------
+
+def _native_arguments(kind, a, *args):
+    """The C function's name stem, its arrays and its trailing integers."""
+    if kind == "delta":
+        return (f"delta{a.delta_width}",
+                (a.rowptr, a.row_encoding, a.deltas, a.abs_colind,
+                 a._delta_ofs, a._abs_ofs, a.values), ())
+    colind = args[0] if kind == "rows" else a.colind
+    # A distance past the last nonzero hints nothing; capped at nnz so that
+    # ctypes, which wraps integers silently, gets one that fits.
+    ints = (min(args[0], a.nnz),) if kind == "prefetch" else ()
+    return kind, (a.rowptr, colind, a.values), ints
+
+
+def partition_body(kind: str, a, *args):
+    """The ``kind`` body over ``a``, on the native backend when its library
+    loads and on numpy otherwise.  ``args`` is ``(colind,)`` for ``rows``,
+    ``(distance,)`` for ``prefetch`` and empty for ``unrolled`` and ``delta``.
+
+    The one place a backend is chosen.  Only the numpy bodies read
+    ``a.row_of``; it is built here, not by racing worker threads.
+    """
+    lib = library()
+    if lib is None:
+        a.row_of
+        return partial(_NUMPY[kind], a, *args)
+    stem, arrays, ints = _native_arguments(kind, a, *args)
+    fn = getattr(lib, f"spmv_{stem}_i{8 * a.rowptr.itemsize}")
+    pointers = [arr.ctypes.data for arr in arrays]  # ~2 us each: taken once
+
+    def body(x, y, lo, hi):
+        fn(*pointers, x.ctypes.data, y.ctypes.data, lo, hi, *ints)
+
+    body.arrays = arrays  # alive while the body is: noxmiss's are temporary
+    return body

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bodies import backend
 from .config import AdvisorConfig
 from .csr import CsrMatrix, partition_rows_by_nnz, spmv_baseline
 from .features import (FEATURE_NAMES, FeatureVector, extract_features,
@@ -377,6 +378,7 @@ def _cmd_bench(args, timer) -> int:
                    else median_time(runners[name], cfg.reps, cfg.warmup, timer))
         rows.append((name, seconds, t_base / seconds))
     best = max(rows, key=lambda r: r[2])
+    print(f"backend: {backend()}")
     for name, seconds, speedup in rows:
         print(f"variant {name} time {seconds:.6g} speedup {speedup:.6g}")
     print(f"best {best[0]}")

@@ -3,9 +3,9 @@
 CSR keeps the nonzeros of each row contiguous in memory; a row pointer
 array of length ``nrows + 1`` marks row boundaries inside the ``colind``
 and ``values`` arrays.  Every kernel in this package runs its partitions
-through ``_accumulate_rows``, one vectorized body that sums each row left
-to right, so for identical inputs the output is reproducible bit for bit
-however the rows are partitioned, and equals a sequential C loop's.
+through a body from ``bodies.partition_body``, which sums each row left to
+right on either backend, so for identical inputs the output is reproducible
+bit for bit however the rows are partitioned and whichever backend runs.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
+
+from . import bodies
 
 _INDEX_DTYPES = {32: np.int32, 64: np.int64}
 
@@ -74,6 +76,18 @@ class TripletList:
         return int(self.rows.size)
 
 
+def _check_rowptr(nrows: int, ncols: int, rowptr: np.ndarray) -> None:
+    """The row-pointer rules every sparse format here shares."""
+    if nrows < 0 or ncols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    if rowptr.shape != (nrows + 1,):
+        raise ValueError("rowptr must have length nrows + 1")
+    if rowptr[0] != 0:
+        raise ValueError("rowptr must start at 0")
+    if np.any(np.diff(rowptr) < 0):
+        raise ValueError("rowptr must be non-decreasing")
+
+
 class _RowOf:
     @cached_property
     def row_of(self) -> np.ndarray:
@@ -114,14 +128,7 @@ class CsrMatrix(_RowOf):
         self._validate()
 
     def _validate(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if self.rowptr.shape != (self.nrows + 1,):
-            raise ValueError("rowptr must have length nrows + 1")
-        if self.rowptr[0] != 0:
-            raise ValueError("rowptr must start at 0")
-        if np.any(np.diff(self.rowptr) < 0):
-            raise ValueError("rowptr must be non-decreasing")
+        _check_rowptr(self.nrows, self.ncols, self.rowptr)
         nnz = int(self.rowptr[-1])
         if self.colind.shape != (nnz,) or self.values.shape != (nnz,):
             raise ValueError("colind/values length must match rowptr[-1]")
@@ -249,18 +256,6 @@ def partition_rows_by_nnz(a: CsrMatrix, p: int) -> RowPartition:
     return RowPartition(bounds)
 
 
-def _accumulate_rows(a, colind, x, y, lo: int, hi: int, first: int = 0) -> None:
-    """The body of every kernel: ``y[i]`` = the sum of row i's products.
-
-    ``np.bincount`` adds each product into its row's slot in element order,
-    so rows ``lo..hi`` of ``a`` are summed left to right.  ``colind`` starts
-    at nonzero ``first`` (``rowptr[lo]`` for a partition's decoded columns).
-    """
-    s, e = a.rowptr[lo], a.rowptr[hi]
-    y[lo:hi] = np.bincount(a.row_of[s:e] - lo, minlength=hi - lo,
-                           weights=a.values[s:e] * x[colind[s - first:e - first]])
-
-
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -307,9 +302,9 @@ def _row_kernel(a, x, part: RowPartition | None, body,
     """The one driver of every kernel entry point.
 
     Counts the call, checks ``x`` and the partition (the whole matrix when
-    ``part`` is None), builds ``a.row_of`` on the first call, allocates ``y``
-    and runs ``body(x, y, lo, hi)`` over every partition through
-    ``run_partitions`` with ``workers`` threads.  ``body`` fills ``y[lo:hi]``.
+    ``part`` is None), allocates ``y`` and runs ``body(x, y, lo, hi)`` over
+    every partition through ``run_partitions`` with ``workers`` threads.
+    ``body`` fills ``y[lo:hi]``.
     """
     global _kernel_calls
     _kernel_calls += 1
@@ -320,7 +315,6 @@ def _row_kernel(a, x, part: RowPartition | None, body,
         part = RowPartition.whole(a.nrows)
     if int(part.boundaries[-1]) != a.nrows:
         raise ValueError("partition does not cover all matrix rows")
-    a.row_of  # built here, not by racing worker threads
     y = np.zeros(a.nrows, dtype=np.float64)
     run_partitions(len(part), lambda p: body(x, y, *part.bounds(p)), workers)
     return y
@@ -333,4 +327,4 @@ def spmv_baseline(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     partition count because rows are computed independently and workers
     write disjoint slices of y.
     """
-    return _row_kernel(a, x, part, partial(_accumulate_rows, a, a.colind))
+    return _row_kernel(a, x, part, bodies.partition_body("rows", a, a.colind))

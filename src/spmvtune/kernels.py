@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from statistics import fmean
 
 import numpy as np
 
-from .csr import (CsrMatrix, RowPartition, _RowOf, _accumulate_rows, _row_kernel,
+from .bodies import partition_body
+from .csr import (CsrMatrix, RowPartition, _RowOf, _check_rowptr, _row_kernel,
                   partition_rows_by_nnz, spmv_baseline)
 
 _DELTA_LIMITS = {8: 255, 16: 65535}
@@ -53,6 +53,11 @@ class DeltaCsrMatrix(_RowOf):
     cleared.  A delta-coded row stores ``nnz`` narrow codes: its absolute
     first column, then the gap to each following column, so every row
     decodes independently of its neighbours as the running sum of its codes.
+
+    Construction checks what the native decoder trusts: ``rowptr`` follows
+    ``CsrMatrix``'s rules at int32 or int64, ``deltas`` has the dtype of
+    ``delta_width``, ``abs_colind`` has ``rowptr``'s dtype, and every decoded
+    column lies in ``[0, ncols)``.
     """
 
     nrows: int
@@ -70,13 +75,35 @@ class DeltaCsrMatrix(_RowOf):
     def __post_init__(self):
         if self.delta_width not in _DELTA_LIMITS:
             raise ValueError("delta_width must be 8 or 16")
-        counts = np.diff(self.rowptr).astype(np.int64)
-        self.row_encoding = coded = np.asarray(self.row_encoding, dtype=bool)
+        self.rowptr = ptr = np.ascontiguousarray(self.rowptr)
+        if ptr.dtype not in (np.int32, np.int64):
+            raise ValueError(f"rowptr must be int32 or int64, not {ptr.dtype}")
+        _check_rowptr(self.nrows, self.ncols, ptr)
+        self.deltas = np.ascontiguousarray(self.deltas)
+        code_dtype = np.dtype(_DELTA_DTYPES[self.delta_width])
+        if self.deltas.dtype != code_dtype:
+            raise ValueError(f"{self.delta_width}-bit codes must be {code_dtype}, "
+                             f"not {self.deltas.dtype}")
+        self.abs_colind = np.ascontiguousarray(self.abs_colind)
+        if self.abs_colind.dtype != ptr.dtype:
+            raise ValueError(f"abs_colind must have rowptr's dtype {ptr.dtype}, "
+                             f"not {self.abs_colind.dtype}")
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        self.row_encoding = coded = np.ascontiguousarray(self.row_encoding, dtype=bool)
+        if coded.shape != (self.nrows,) or self.values.shape != (self.nnz,):
+            raise ValueError("row_encoding/values length must match nrows/rowptr[-1]")
+        counts = np.diff(ptr).astype(np.int64)
         self._delta_ofs = np.concatenate(([0], np.cumsum(np.where(coded, counts, 0))))
         self._abs_ofs = np.concatenate(([0], np.cumsum(np.where(coded, 0, counts))))
-        if (self.deltas.size != self._delta_ofs[-1]
-                or self.abs_colind.size != self._abs_ofs[-1]):
+        if (self.deltas.shape != (self._delta_ofs[-1],)
+                or self.abs_colind.shape != (self._abs_ofs[-1],)):
             raise ValueError("index array lengths inconsistent with row encoding")
+        # A coded row's columns never decrease, so its code sum is its largest.
+        starts = self._delta_ofs[:-1][coded & (counts > 0)]
+        largest = max(np.add.reduceat(self.deltas, starts, dtype=np.int64).max(initial=-1),
+                      self.abs_colind.max(initial=-1))
+        if largest >= self.ncols or self.abs_colind.min(initial=0) < 0:
+            raise ValueError("column index out of range")
 
     @property
     def nnz(self) -> int:
@@ -143,27 +170,25 @@ def decode_delta(d: DeltaCsrMatrix) -> CsrMatrix:
 def spmv_delta(d: DeltaCsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
     """SpMV over the delta-coded form; bitwise-equal to the baseline.
 
-    Each partition decodes its own rows in one ``decode_rows`` pass, then
-    runs the shared body over the decoded columns.
+    The native body decodes each row's codes as it multiplies; the numpy
+    body decodes each partition's rows in one ``decode_rows`` pass, then
+    sums them as the baseline does.
     """
-    def body(x, y, lo, hi):
-        _accumulate_rows(d, d.decode_rows(lo, hi), x, y, lo, hi, first=d.rowptr[lo])
-
-    return _row_kernel(d, x, part, body)
+    return _row_kernel(d, x, part, partition_body("delta", d))
 
 
 def spmv_prefetch(a: CsrMatrix, x, part: RowPartition | None = None,
                   distance: int = 8) -> np.ndarray:
-    """Baseline SpMV meant to hint x[colind[j + distance]] ahead of each step.
+    """Baseline SpMV that hints x[colind[j + distance]] ahead of each step.
 
     The default distance of 8 elements is one 64-byte cache line of
-    double-precision values.  CPython has no cache hint to emit, so after
-    checking ``distance`` this runs the baseline body; a native backend
-    uses the distance.  Bitwise-equal to the baseline.
+    double-precision values.  The native body issues the hint while
+    ``j + distance`` is inside the partition; numpy has no hint to issue,
+    so its body is the baseline's.  Bitwise-equal to the baseline.
     """
     if distance < 1:
         raise ValueError("prefetch distance must be >= 1")
-    return spmv_baseline(a, x, part)
+    return _row_kernel(a, x, part, partition_body("prefetch", a, distance))
 
 
 def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
@@ -182,31 +207,19 @@ def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
     # The leading 0 keeps one (empty) chunk when the matrix has no rows.
     chunks = RowPartition(np.r_[0, np.arange(policy.chunk_rows, a.nrows,
                                              policy.chunk_rows), a.nrows])
-    return _row_kernel(a, x, chunks, partial(_accumulate_rows, a, a.colind),
-                       workers)
+    return _row_kernel(a, x, chunks, partition_body("rows", a, a.colind), workers)
 
 
 def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
     """SpMV with a 4-way unrolled inner loop, as a four-accumulator C loop.
 
     Each row's first ``nnz - nnz % 4`` products go round-robin to lanes 0-3
-    and the rest to tail lane 4; one ``bincount`` over ``5 * row + lane``
-    sums each lane left to right, combined as ((s0+s1)+(s2+s3)) + tail.
-    Results agree with the baseline within relative 1e-10, exactly on rows
-    shorter than 4 elements.
+    and the rest to a tail, each summed left to right and combined as
+    ((s0+s1)+(s2+s3)) + tail, bitwise the same on both backends.  Results
+    agree with the baseline within relative 1e-10, exactly on rows shorter
+    than 4 elements.
     """
-    def body(x, y, lo, hi):
-        s, e = a.rowptr[lo], a.rowptr[hi]
-        ptr = a.rowptr[lo:hi + 1]
-        rows = a.row_of[s:e] - np.int64(lo)
-        pos = np.arange(s, e) - ptr[rows]  # each product's place in its row
-        lanes_end = np.diff(ptr) // 4 * 4
-        keys = 5 * rows + np.where(pos < lanes_end[rows], pos % 4, 4)
-        sums = np.bincount(keys, weights=a.values[s:e] * x[a.colind[s:e]],
-                           minlength=5 * (hi - lo)).reshape(-1, 5)
-        y[lo:hi] = ((sums[:, 0] + sums[:, 1]) + (sums[:, 2] + sums[:, 3])) + sums[:, 4]
-
-    return _row_kernel(a, x, part, body)
+    return _row_kernel(a, x, part, partition_body("unrolled", a))
 
 
 def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -217,8 +230,7 @@ def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     at cache-miss-latency-bound matrices.  The result intentionally
     differs from a true SpMV.
     """
-    return _row_kernel(a, x, part,
-                       partial(_accumulate_rows, a, np.zeros_like(a.colind)))
+    return _row_kernel(a, x, part, partition_body("rows", a, np.zeros_like(a.colind)))
 
 
 def bench_inflate(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
@@ -239,10 +251,11 @@ def _partition_times(a: CsrMatrix, colind, x, part: RowPartition, timer):
     includes another's work.
     """
     durations = []
+    rows = partition_body("rows", a, colind)
 
     def body(x, y, lo, hi):
         t0 = timer()
-        _accumulate_rows(a, colind, x, y, lo, hi)
+        rows(x, y, lo, hi)
         durations.append(timer() - t0)
 
     return _row_kernel(a, x, part, body, workers=1), durations

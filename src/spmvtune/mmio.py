@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,28 @@ _SYMMETRIES = {"general", "symmetric"}
 
 class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
+
+
+class _TextLines:
+    """The lines of a string, split after each newline as ``io.StringIO``
+    splits them, without the copy a ``StringIO`` makes at 4 bytes per
+    character; ``read()`` returns the text after the last line taken."""
+
+    def __init__(self, text: str):
+        self._text, self._pos = text, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if self._pos >= len(self._text):
+            raise StopIteration
+        end = self._text.find("\n", self._pos) + 1 or len(self._text)
+        line, self._pos = self._text[self._pos:end], end
+        return line
+
+    def read(self) -> str:
+        return self._text[self._pos:]
 
 
 def _content(lines):
@@ -37,18 +58,18 @@ def parse_matrix_market(source) -> TripletList:
     A well-formed body is parsed in one vectorized pass; a body that pass
     rejects is read again line by line, which names the first bad line.
     """
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = _TextLines(source) if isinstance(source, str) else iter(source)
     header = _read_header(lines)
     if hasattr(lines, "read"):
         text, lines = lines.read(), None
     else:
         lines = list(lines)
         text = "".join(lines)
-        if list(io.StringIO(text)) != lines:  # joining merged or split lines
+        if list(_TextLines(text)) != lines:  # joining merged or split lines
             text = ""
     t = _parse_body(text, *header)
-    if t is None:  # a StringIO is built only here: it holds 4 bytes per character
-        t = _parse_lines(io.StringIO(text) if lines is None else lines, *header)
+    if t is None:
+        t = _parse_lines(_TextLines(text) if lines is None else lines, *header)
     return t
 
 

@@ -138,14 +138,12 @@ def measure(a: CsrMatrix, x, workers: int = 1, reps: int = 20, warmup: int = 5,
     partition time, the span under perfect balance.  All four samples thus
     time the partition body and nothing else, and ``s_imb`` is a ratio of
     per-worker times.  Kernel setup work (index zeroing, index widening,
-    partitioning, both ``row_of`` arrays) happens once, outside the timed
-    regions.  Kernels are timed in a fixed order: baseline, noxmiss,
-    inflate, balance.
+    partitioning, choosing the body) happens outside the timed regions.
+    Kernels are timed in a fixed order: baseline, noxmiss, inflate, balance.
     """
     part = partition_rows_by_nnz(a, workers)
     zeroed = np.zeros_like(a.colind)
     wide = a.with_index_width(64)
-    a.row_of, wide.row_of  # built here, not in the first timed run
 
     def timed(m, colind, span=max) -> float:
         return median_time(

@@ -2,13 +2,33 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from spmvtune import CsrMatrix, TripletList, csr_from_triplets
+from spmvtune import CsrMatrix, TripletList, bodies, csr_from_triplets
 
+# The kernel_backend fixture is function-scoped: every example of a test
+# runs on the one backend it selected, which is what the test means.
 settings.register_profile(
     "suite", deadline=None, max_examples=60,
-    suppress_health_check=[HealthCheck.too_slow],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 settings.load_profile("suite")
+
+BACKENDS = ("native", "numpy")
+
+
+def use_backend(monkeypatch, name: str) -> None:
+    """Make the kernels run on backend ``name``; skip when it cannot load."""
+    if name == "numpy":
+        monkeypatch.setattr(bodies, "_state", (None, "numpy (selected by the test)"))
+    elif bodies.library() is None:
+        pytest.skip(f"no native backend: {bodies.backend()}")
+
+
+@pytest.fixture(params=BACKENDS)
+def kernel_backend(request, monkeypatch) -> str:
+    """Runs the test once per backend."""
+    use_backend(monkeypatch, request.param)
+    return request.param
+
 
 # Reference 4x4 matrix used across suites:
 #   [[1, 0, 0, 2],

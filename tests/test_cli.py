@@ -121,12 +121,14 @@ def test_report_non_finite_or_non_positive_speedup_is_one_line_data_error(
 
 # --- bench --------------------------------------------------------------------
 
-def test_bench_scripted_speedups(tmp_path, capsys):
+def test_bench_scripted_speedups(tmp_path, capsys, kernel_backend):
     matrix = generate(tmp_path, "banded", 16, 3, 0)
     timer = FakeTimer([0.010, 0.008, 0.009])
     assert run(["bench", "--matrix", matrix, "--variants", "baseline,delta,prefetch",
                 *FAST], timer=timer) == 0
     out = capsys.readouterr().out
+    backend = {"native": "native", "numpy": "numpy (selected by the test)"}[kernel_backend]
+    assert f"\nbackend: {backend}\nvariant baseline " in out
     assert "variant baseline time 0.01 speedup 1\n" in out
     assert "variant delta time 0.008 speedup 1.25\n" in out
     assert "variant prefetch time 0.009 speedup 1.11111\n" in out

@@ -259,6 +259,14 @@ def test_parse_line_list_matches_line_loop(lines):
     assert _outcome(parse_matrix_market, lines) == _outcome(_line_loop, lines)
 
 
+@given(st.text(st.sampled_from("a \n\r%1"), max_size=30), st.integers(0, 8))
+def test_text_lines_split_as_string_io(text, taken):
+    lines, stream = mmio._TextLines(text), io.StringIO(text)
+    assert [next(lines, None) for _ in range(taken)] == [
+        stream.readline() or None for _ in range(taken)]
+    assert lines.read() == stream.read()
+
+
 def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
     monkeypatch.setattr(mmio, "_parse_lines", None)  # any call would fail
     for field, symmetry, body in [("real", "general", "1 1 2.5\n2 1 -nan\n"),
@@ -427,10 +435,14 @@ def test_partition_deviation_bounded_by_max_row(row_nnz, p):
 # --- row_of ------------------------------------------------------------------
 
 @pytest.mark.parametrize("width,dtype", [(32, np.int32), (64, np.int64)])
-def test_row_of_is_built_once_by_the_first_kernel_call(matrix_e, width, dtype):
+def test_row_of_is_built_once_by_the_first_numpy_kernel_call(matrix_e, width, dtype,
+                                                             kernel_backend):
     a = matrix_e.with_index_width(width)
     assert "row_of" not in vars(a)
     spmv_baseline(a, np.ones(4))
+    if kernel_backend == "native":  # the native bodies never read it
+        assert "row_of" not in vars(a)
+        return
     row_of = vars(a)["row_of"]
     assert row_of.dtype == dtype and row_of.tolist() == [0, 0, 1, 3, 3, 3]
     spmv_baseline(a, np.ones(4))

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,9 @@ from spmvtune import (CsrMatrix, RowPartition, SchedulePolicy, ScheduleKind,
                       kernel_call_count, measure, partition_rows_by_nnz,
                       spmv_baseline, spmv_delta, spmv_prefetch, spmv_scheduled,
                       spmv_unrolled)
+from spmvtune.kernels import DeltaCsrMatrix
 
-from conftest import FakeTimer, measure_script, random_triplets
+from conftest import BACKENDS, FakeTimer, measure_script, random_triplets, use_backend
 from oracles import (expected_delta_width, four_lane_matvec, row_fits_width,
                      sequential_matvec)
 
@@ -117,6 +123,50 @@ def test_decode_rows_matches_whole_matrix_slice(positions, i, j):
     assert np.array_equal(part, d.decode_rows(0, 12)[d.rowptr[lo]:d.rowptr[hi]])
 
 
+def _delta_fields(**changes):
+    """A valid one-row 8-bit DeltaCsrMatrix (columns 1 and 3 of 4) with
+    ``changes`` applied to its constructor arguments."""
+    fields = dict(nrows=1, ncols=4, rowptr=np.array([0, 2], dtype=np.int32),
+                  values=np.array([1.0, 2.0]), delta_width=8,
+                  row_encoding=np.array([True]),
+                  deltas=np.array([1, 2], dtype=np.uint8),
+                  abs_colind=np.empty(0, dtype=np.int32))
+    return {**fields, **changes}
+
+
+def test_delta_matrix_accepts_the_valid_example():
+    d = DeltaCsrMatrix(**_delta_fields())
+    assert decode_delta(d).colind.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"rowptr": np.array([0, 1, 2], dtype=np.int32)}, "length nrows"),
+    ({"rowptr": np.array([1, 2], dtype=np.int32), "deltas": np.array([1], dtype=np.uint8),
+      "values": np.array([1.0])}, "start at 0"),
+    ({"nrows": 2, "rowptr": np.array([0, 2, 1], dtype=np.int32),
+      "row_encoding": np.array([True, True])}, "non-decreasing"),
+    ({"rowptr": np.array([0.0, 2.0])}, "int32 or int64"),
+    ({"deltas": np.array([1, 2], dtype=np.uint16)}, "8-bit codes must be uint8"),
+    ({"delta_width": 16}, "16-bit codes must be uint16"),
+    ({"row_encoding": np.array([False]), "deltas": np.empty(0, dtype=np.uint8),
+      "abs_colind": np.array([1.0, 3.0])}, "rowptr's dtype int32"),
+    ({"row_encoding": np.array([False]), "deltas": np.empty(0, dtype=np.uint8),
+      "abs_colind": np.array([1, 3], dtype=np.int64)}, "rowptr's dtype int32"),
+    ({"deltas": np.array([1, 250], dtype=np.uint8)}, "out of range"),
+    ({"deltas": np.array([4, 0], dtype=np.uint8)}, "out of range"),
+    ({"row_encoding": np.array([False]), "deltas": np.empty(0, dtype=np.uint8),
+      "abs_colind": np.array([1, 4], dtype=np.int32)}, "out of range"),
+    ({"row_encoding": np.array([False]), "deltas": np.empty(0, dtype=np.uint8),
+      "abs_colind": np.array([-1, 3], dtype=np.int32)}, "out of range"),
+    ({"values": np.array([1.0])}, "values length"),
+    ({"row_encoding": np.array([True, True])}, "row_encoding/values length"),
+])
+def test_delta_matrix_rejects_what_the_decoder_would_trust(changes, message):
+    with pytest.raises(ValueError, match=message) as err:
+        DeltaCsrMatrix(**_delta_fields(**changes))
+    assert "\n" not in str(err.value)
+
+
 def test_delta_storage_beats_32bit_colind_when_nnz_exceeds_rows():
     # banded rows: gaps of 1, first columns <= 255 -> fully 8-bit codable
     entries = [(i, i + j, 1.0) for i in range(50) for j in range(4)]
@@ -135,6 +185,7 @@ def _random_case(rng, n=32, m=32):
     return a, x
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_delta_spmv_bitwise_equals_baseline(matrix_e):
     assert spmv_delta(encode_delta(matrix_e), [1, 1, 1, 1]).tolist() == [3, 3, 0, 15]
     assert not spmv_delta(encode_delta(matrix_e), np.zeros(4)).any()
@@ -146,18 +197,21 @@ def test_delta_spmv_bitwise_equals_baseline(matrix_e):
                               spmv_baseline(a, x, part))
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_prefetch_spmv_bitwise_equals_baseline(matrix_e):
     assert spmv_prefetch(matrix_e, [1, 2, 3, 4], distance=8).tolist() == [9, 6, 0, 38]
     rng = np.random.default_rng(31)
     a, x = _random_case(rng)
     y1 = spmv_prefetch(a, x, distance=1)
-    y64 = spmv_prefetch(a, x, distance=64)
-    assert np.array_equal(y1, y64)
     assert np.array_equal(y1, spmv_baseline(a, x))
+    # distances past the last nonzero, one of which a C int64 would wrap to -1
+    for distance in (64, a.nnz, 2**64 - 1):
+        assert np.array_equal(spmv_prefetch(a, x, distance=distance), y1)
     with pytest.raises(ValueError):
         spmv_prefetch(a, x, distance=0)
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_scheduled_spmv_equals_baseline(matrix_e):
     policy = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows=1)
     assert spmv_scheduled(matrix_e, [1, 1, 1, 1], policy, workers=2).tolist() == [3, 3, 0, 15]
@@ -182,6 +236,7 @@ def test_schedule_policy_validation():
         SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows=0)
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_unrolled_exact_on_short_rows_and_integers(matrix_e):
     assert spmv_unrolled(matrix_e, [1, 1, 1, 1]).tolist() == [3, 3, 0, 15]
     row8 = csr_from_triplets(TripletList.from_entries(
@@ -189,6 +244,7 @@ def test_unrolled_exact_on_short_rows_and_integers(matrix_e):
     assert spmv_unrolled(row8, np.ones(8)).tolist() == [8.0]
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_unrolled_within_tolerance_of_baseline():
     rng = np.random.default_rng(37)
     for _ in range(10):
@@ -199,6 +255,7 @@ def test_unrolled_within_tolerance_of_baseline():
         assert np.allclose(y_u, y_b, rtol=1e-10, atol=0)
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_every_kernel_sums_each_row_left_to_right():
     # 1e16 + 1 rounds back to 1e16, so the order decides the answer: left
     # to right gives 6.0, numpy's pairwise sum 5.0, math.fsum 7.0 and four
@@ -213,6 +270,7 @@ def test_every_kernel_sums_each_row_left_to_right():
         assert kernel(a, x, None).tolist() == [expected], name
 
 
+@pytest.mark.usefixtures("kernel_backend")
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
 def test_kernels_match_plain_python_oracles_bitwise(row_lengths, seed, parts):
@@ -232,11 +290,13 @@ def test_kernels_match_plain_python_oracles_bitwise(row_lengths, seed, parts):
 
 # --- diagnostic kernels -----------------------------------------------------------
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_noxmiss_scales_row_sums_by_x0(matrix_e):
     assert bench_noxmiss(matrix_e, [2, 1, 1, 1]).tolist() == [6, 6, 0, 30]
     assert not bench_noxmiss(matrix_e, [0, 5, 5, 5]).any()
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_noxmiss_equals_baseline_on_zeroed_colind():
     rng = np.random.default_rng(41)
     t = random_triplets(rng, 20, 20, 0.2)
@@ -251,6 +311,7 @@ def test_noxmiss_equals_baseline_on_zeroed_colind():
         assert y[i] == expected
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_noxmiss_is_identity_on_single_column_matrix():
     a = csr_from_triplets(TripletList.from_entries(
         3, 1, [(0, 0, 2.0), (2, 0, 5.0)]))
@@ -258,6 +319,7 @@ def test_noxmiss_is_identity_on_single_column_matrix():
     assert np.array_equal(bench_noxmiss(a, x), spmv_baseline(a, x))
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_inflate_bitwise_equal_and_doubles_index_bytes(matrix_e):
     assert bench_inflate(matrix_e, [1, 1, 1, 1]).tolist() == [3, 3, 0, 15]
     assert matrix_e.index_bytes == 44
@@ -267,6 +329,7 @@ def test_inflate_bitwise_equal_and_doubles_index_bytes(matrix_e):
     assert np.array_equal(bench_inflate(a, x), spmv_baseline(a, x))
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_balance_reports_per_worker_durations(matrix_e):
     part = partition_rows_by_nnz(matrix_e, 4)
     timer = FakeTimer([0.004, 0.002, 0.002, 0.002])
@@ -278,6 +341,7 @@ def test_balance_reports_per_worker_durations(matrix_e):
     assert mean <= max(durations)
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_balance_single_worker_mean_is_its_duration(matrix_e):
     part = partition_rows_by_nnz(matrix_e, 1)
     timer = FakeTimer([0.007])
@@ -287,6 +351,7 @@ def test_balance_single_worker_mean_is_its_duration(matrix_e):
     assert mean == 0.007
 
 
+@pytest.mark.usefixtures("kernel_backend")
 def test_all_variants_vs_baseline_bulk():
     rng = np.random.default_rng(47)
     for _ in range(15):
@@ -329,6 +394,7 @@ KERNEL_ENTRY_POINTS = {
 }
 
 
+@pytest.mark.usefixtures("kernel_backend")
 @pytest.mark.parametrize("name", KERNEL_ENTRY_POINTS)
 def test_kernel_entry_point_contract(matrix_e, name):
     kernel, takes_part = KERNEL_ENTRY_POINTS[name]
@@ -344,6 +410,7 @@ def test_kernel_entry_point_contract(matrix_e, name):
             kernel(matrix_e, np.ones(4), RowPartition(np.array([0, 2, 3])))
 
 
+@pytest.mark.usefixtures("kernel_backend")
 @pytest.mark.parametrize("name", KERNEL_ENTRY_POINTS)
 def test_kernel_entry_point_on_zero_rows(name):
     kernel, _ = KERNEL_ENTRY_POINTS[name]
@@ -353,6 +420,7 @@ def test_kernel_entry_point_on_zero_rows(name):
     assert kernel_call_count() == before + 1
 
 
+@pytest.mark.usefixtures("kernel_backend")
 @pytest.mark.parametrize("reps,warmup", [(1, 0), (2, 3)])
 def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
     timer = FakeTimer(measure_script(0.01, 0.01, 0.01, [0.01, 0.01], reps, 2))
@@ -360,3 +428,103 @@ def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
     measure(matrix_e, np.ones(4), workers=2, reps=reps, warmup=warmup,
             timer=timer)
     assert kernel_call_count() - before == 4 * (reps + warmup)
+
+
+# --- backends -----------------------------------------------------------------
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=10),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
+       st.sampled_from([30, 600, 70_000]), st.sampled_from([32, 64]),
+       st.integers(1, 20))
+def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, distance):
+    # Up to 70k columns mix 8-bit, 16-bit and absolute delta rows.
+    rng = np.random.default_rng(seed)
+    entries = [(i, int(c), float(rng.uniform(-2.0, 2.0)))
+               for i, k in enumerate(row_lengths)
+               for c in rng.choice(ncols, size=k, replace=False)]
+    a = csr_from_triplets(TripletList.from_entries(len(row_lengths), ncols, entries),
+                          index_width=width)
+    x = rng.uniform(-2.0, 2.0, ncols)
+    part = partition_rows_by_nnz(a, parts)
+    kernels = {**KERNEL_ENTRY_POINTS,
+               "prefetch": (lambda a, x, part: spmv_prefetch(a, x, part, distance), True)}
+    results = {}
+    for name in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            use_backend(mp, name)
+            results[name] = {k: kernel(a, x, part).tobytes()
+                             for k, (kernel, _) in kernels.items()}
+    assert results["native"] == results["numpy"]
+
+
+def _run_python(code: str, **env) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+@pytest.mark.parametrize("case", ["missing compiler", "failing compiler", "unsplittable CC",
+                                  "cache is a file"])
+def test_fallback_matches_the_oracles(tmp_path, case):
+    code = """
+import json
+import numpy as np
+from spmvtune import (TripletList, bodies, csr_from_triplets, encode_delta,
+                     partition_rows_by_nnz, spmv_baseline, spmv_delta, spmv_unrolled)
+from oracles import four_lane_matvec, sequential_matvec
+
+rng = np.random.default_rng(5)
+entries = [(i, int(c), float(rng.uniform(-2, 2)))
+           for i in range(12) for c in rng.choice(40, size=i, replace=False)]
+a = csr_from_triplets(TripletList.from_entries(12, 40, entries))
+x = rng.uniform(-2, 2, 40)
+part = partition_rows_by_nnz(a, 2)
+lists = (a.rowptr.tolist(), a.colind.tolist(), a.values.tolist(), x.tolist())
+print(json.dumps({
+    "backend": bodies.backend(),
+    "baseline": spmv_baseline(a, x, part).tolist() == sequential_matvec(*lists),
+    "delta": spmv_delta(encode_delta(a), x, part).tolist() == sequential_matvec(*lists),
+    "unrolled": spmv_unrolled(a, x, part).tolist() == four_lane_matvec(*lists),
+}))
+"""
+    cache = tmp_path / "cache"
+    missing = str(tmp_path / "no-such-cc")
+    env, reason = {
+        "missing compiler": ({"CC": missing},
+                             f"[Errno 2] No such file or directory: {missing!r}"),
+        "failing compiler": ({"CC": "false"}, "false exited 1"),
+        "unsplittable CC": ({"CC": 'cc "'}, "No closing quotation"),
+        "cache is a file": ({}, f"[Errno 20] Not a directory: '{cache / 'spmvtune'}'"),
+    }[case]
+    if case == "cache is a file":
+        cache.write_text("")
+    done = _run_python(code, XDG_CACHE_HOME=str(cache), **env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result.pop("backend") == f"numpy ({reason})"
+    assert result == {"baseline": True, "delta": True, "unrolled": True}
+    if cache.is_dir():  # a failed build leaves no temporary file behind
+        assert list((cache / "spmvtune").iterdir()) == []
+
+
+def test_import_compiles_and_loads_nothing(tmp_path):
+    code = """
+import json
+from pathlib import Path
+import numpy as np
+import spmvtune
+from spmvtune import bodies
+
+cache = Path(%r)
+before = {"state": bodies._state is None, "cache": cache.exists()}
+spmvtune.spmv_baseline(spmvtune.CsrMatrix(1, 1, [0, 1], [0], [2.0]), np.ones(1))
+print(json.dumps({"before": before, "backend": bodies.backend(),
+                  "built": sorted(p.suffix for p in cache.iterdir())}))
+""" % str(tmp_path / "spmvtune")
+    done = _run_python(code, XDG_CACHE_HOME=str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["before"] == {"state": True, "cache": False}
+    if result["backend"] == "native":  # the first kernel call built the library
+        assert result["built"] == [".so"]
