@@ -1,23 +1,84 @@
-/* Native partition bodies of the spmvtune SpMV kernels.
+/* Native kernels of spmvtune: every partition of one SpMV in one call.
  *
- * Every function fills y[lo..hi) of y = A x for one row range, each row
- * summed left to right from 0.0, exactly as the numpy bodies in bodies.py
- * sum it.  The library is built with -ffp-contract=off and without
- * -ffast-math, so no multiply-add is fused and no sum is reassociated: both
- * backends agree bit for bit.
+ * Each exported function fills y = A x over the rows of nparts partitions,
+ * partition p owning rows bounds[p]..bounds[p + 1].  The calling thread and
+ * up to threads - 1 threads it starts claim partitions from one shared
+ * counter until none is left, and every started thread is joined before
+ * the function returns (fork-join), so no thread outlives a call.  At most
+ * min(threads, nparts, MAX_THREADS) threads run; a thread that cannot be
+ * started leaves its share to the others, so a call never fails.
+ *
+ * One thread sums each row, left to right from 0.0, exactly as the numpy
+ * bodies in bodies.py sum it.  The library is built with -ffp-contract=off
+ * and without -ffast-math, so no multiply-add is fused and no sum is
+ * reassociated: both backends agree bit for bit, whatever the thread count.
  *
  * Index arrays are int32_t or int64_t (suffix _i32 / _i64), as the matrix's
- * rowptr.  The caller has checked every index against its bounds.
+ * rowptr.  The caller has checked every index and bound.
  */
 
+#include <pthread.h>
 #include <stdint.h>
+
+/* The most threads one call runs: bodies.MAX_THREADS, the numpy pool's size. */
+#define MAX_THREADS 32
+
+/* One kernel call: its arrays (typed by each body), the partitions and the
+ * claim counter. */
+struct job {
+    void (*rows)(const struct job *, int64_t lo, int64_t hi);
+    const void *rowptr, *colind, *deltas, *abs_colind;
+    const uint8_t *coded;
+    const int64_t *delta_ofs, *abs_ofs;
+    const double *values, *x;
+    double *y;
+    int64_t distance;
+    const int64_t *bounds;
+    int64_t nparts, next;
+};
+
+static void *claim(void *arg)
+{
+    struct job *job = arg;
+    int64_t p;
+    while ((p = __atomic_fetch_add(&job->next, 1, __ATOMIC_RELAXED)) < job->nparts)
+        job->rows(job, job->bounds[p], job->bounds[p + 1]);
+    return NULL;
+}
+
+/* Runs job->rows over every partition on up to threads threads, the
+ * calling one included, and returns once all of them are done.  The first
+ * pthread_create that fails ends the starting: the threads already running
+ * claim its share. */
+static void fork_join(struct job *job, const int64_t *bounds, int64_t nparts,
+                      int64_t threads)
+{
+    pthread_t started[MAX_THREADS - 1];
+    int64_t n = 0;
+    job->bounds = bounds;
+    job->nparts = nparts;
+    job->next = 0;
+    if (threads > nparts)
+        threads = nparts;
+    if (threads > MAX_THREADS)
+        threads = MAX_THREADS;
+    while (n < threads - 1 && pthread_create(&started[n], NULL, claim, job) == 0)
+        n++;
+    claim(job);
+    while (n > 0)
+        pthread_join(started[--n], NULL);
+}
+
+#define PARTS const int64_t *bounds, int64_t nparts, int64_t threads
 
 /* The baseline row sum; also the body of noxmiss, inflate, the scheduled
  * kernels and the balance diagnostic. */
 #define ROWS_BODY(I, W)                                                       \
-void spmv_rows_##W(const I *rowptr, const I *colind, const double *values,    \
-                   const double *x, double *y, int64_t lo, int64_t hi)        \
+static void rows_##W(const struct job *k, int64_t lo, int64_t hi)            \
 {                                                                             \
+    const I *rowptr = k->rowptr, *colind = k->colind;                         \
+    const double *values = k->values, *x = k->x;                              \
+    double *y = k->y;                                                         \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t end = rowptr[i + 1];                                          \
         double acc = 0.0;                                                     \
@@ -25,16 +86,25 @@ void spmv_rows_##W(const I *rowptr, const I *colind, const double *values,    \
             acc += values[j] * x[colind[j]];                                  \
         y[i] = acc;                                                           \
     }                                                                         \
+}                                                                             \
+                                                                              \
+void spmv_rows_##W(const I *rowptr, const I *colind, const double *values,    \
+                   const double *x, double *y, PARTS)                         \
+{                                                                             \
+    struct job job = {rows_##W, .rowptr = rowptr, .colind = colind,           \
+                      .values = values, .x = x, .y = y};                      \
+    fork_join(&job, bounds, nparts, threads);                                 \
 }
 
 /* The row sum, hinting x[colind[j + distance]] while j + distance is inside
- * the range.  distance >= 1; stop cannot overflow since rowptr[hi] >= 0. */
+ * the partition.  distance >= 1; stop cannot overflow since rowptr[hi] >= 0. */
 #define PREFETCH_BODY(I, W)                                                   \
-void spmv_prefetch_##W(const I *rowptr, const I *colind, const double *values,\
-                       const double *x, double *y, int64_t lo, int64_t hi,    \
-                       int64_t distance)                                      \
+static void prefetch_##W(const struct job *k, int64_t lo, int64_t hi)        \
 {                                                                             \
-    int64_t stop = (int64_t)rowptr[hi] - distance;                            \
+    const I *rowptr = k->rowptr, *colind = k->colind;                         \
+    const double *values = k->values, *x = k->x;                              \
+    double *y = k->y;                                                         \
+    int64_t distance = k->distance, stop = (int64_t)rowptr[hi] - distance;    \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t end = rowptr[i + 1];                                          \
         double acc = 0.0;                                                     \
@@ -45,14 +115,24 @@ void spmv_prefetch_##W(const I *rowptr, const I *colind, const double *values,\
         }                                                                     \
         y[i] = acc;                                                           \
     }                                                                         \
+}                                                                             \
+                                                                              \
+void spmv_prefetch_##W(const I *rowptr, const I *colind, const double *values,\
+                       const double *x, double *y, int64_t distance, PARTS)   \
+{                                                                             \
+    struct job job = {prefetch_##W, .rowptr = rowptr, .colind = colind,       \
+                      .values = values, .x = x, .y = y, .distance = distance};\
+    fork_join(&job, bounds, nparts, threads);                                 \
 }
 
 /* Four accumulators over each row's first nnz - nnz % 4 products, then a
  * sequential tail, combined as ((s0 + s1) + (s2 + s3)) + tail. */
 #define UNROLLED_BODY(I, W)                                                   \
-void spmv_unrolled_##W(const I *rowptr, const I *colind, const double *values,\
-                       const double *x, double *y, int64_t lo, int64_t hi)    \
+static void unrolled_##W(const struct job *k, int64_t lo, int64_t hi)        \
 {                                                                             \
+    const I *rowptr = k->rowptr, *colind = k->colind;                         \
+    const double *values = k->values, *x = k->x;                              \
+    double *y = k->y;                                                         \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t j = rowptr[i], end = rowptr[i + 1];                           \
         int64_t lanes_end = end - (end - j) % 4;                              \
@@ -67,6 +147,14 @@ void spmv_unrolled_##W(const I *rowptr, const I *colind, const double *values,\
             tail += values[j] * x[colind[j]];                                 \
         y[i] = ((s0 + s1) + (s2 + s3)) + tail;                                \
     }                                                                         \
+}                                                                             \
+                                                                              \
+void spmv_unrolled_##W(const I *rowptr, const I *colind, const double *values,\
+                       const double *x, double *y, PARTS)                     \
+{                                                                             \
+    struct job job = {unrolled_##W, .rowptr = rowptr, .colind = colind,       \
+                      .values = values, .x = x, .y = y};                      \
+    fork_join(&job, bounds, nparts, threads);                                 \
 }
 
 /* CSR-DU decode-and-multiply over C-typed codes: a coded row's columns are
@@ -74,12 +162,14 @@ void spmv_unrolled_##W(const I *rowptr, const I *colind, const double *values,\
  * delta_ofs[i] and abs_ofs[i] are where row i's codes and absolute columns
  * start. */
 #define DELTA_BODY(C, CW, I, W)                                               \
-void spmv_delta##CW##_##W(const I *rowptr, const uint8_t *coded,              \
-                          const C *deltas, const I *abs_colind,               \
-                          const int64_t *delta_ofs, const int64_t *abs_ofs,   \
-                          const double *values, const double *x, double *y,   \
-                          int64_t lo, int64_t hi)                             \
+static void delta##CW##_##W(const struct job *k, int64_t lo, int64_t hi)     \
 {                                                                             \
+    const I *rowptr = k->rowptr, *abs_colind = k->abs_colind;                 \
+    const C *deltas = k->deltas;                                              \
+    const uint8_t *coded = k->coded;                                          \
+    const int64_t *delta_ofs = k->delta_ofs, *abs_ofs = k->abs_ofs;           \
+    const double *values = k->values, *x = k->x;                              \
+    double *y = k->y;                                                         \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t j = rowptr[i], end = rowptr[i + 1];                           \
         double acc = 0.0;                                                     \
@@ -97,6 +187,19 @@ void spmv_delta##CW##_##W(const I *rowptr, const uint8_t *coded,              \
         }                                                                     \
         y[i] = acc;                                                           \
     }                                                                         \
+}                                                                             \
+                                                                              \
+void spmv_delta##CW##_##W(const I *rowptr, const uint8_t *coded,              \
+                          const C *deltas, const I *abs_colind,               \
+                          const int64_t *delta_ofs, const int64_t *abs_ofs,   \
+                          const double *values, const double *x, double *y,   \
+                          PARTS)                                              \
+{                                                                             \
+    struct job job = {delta##CW##_##W, .rowptr = rowptr, .coded = coded,      \
+                      .deltas = deltas, .abs_colind = abs_colind,             \
+                      .delta_ofs = delta_ofs, .abs_ofs = abs_ofs,             \
+                      .values = values, .x = x, .y = y};                      \
+    fork_join(&job, bounds, nparts, threads);                                 \
 }
 
 ROWS_BODY(int32_t, i32)

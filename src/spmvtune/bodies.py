@@ -1,14 +1,20 @@
 """The partition bodies of every kernel, and the one choice of backend.
 
-A partition body ``body(x, y, lo, hi)`` fills ``y[lo:hi]`` of ``y = A x``.
-There are four kinds: ``rows`` (the left-to-right row sum), ``prefetch``,
+``partition_body`` returns ``run(x, y, bounds, workers)``, which fills
+``y = A x`` over the partitions of ``bounds`` (partition p owns rows
+``bounds[p]..bounds[p + 1]``) on at most ``min(workers, partitions,
+MAX_THREADS)`` threads, each partition's rows on one thread.  There are
+four kinds of body: ``rows`` (the left-to-right row sum), ``prefetch``,
 ``unrolled`` (four lanes and a tail) and ``delta`` (CSR-DU decoding).  Each
 exists on two backends that sum every row in the same order, so they agree
 bit for bit:
 
-* native: the C functions of ``_native.c``, called through ``ctypes``,
-  which releases the interpreter lock, so pooled workers run side by side;
-* numpy: vectorized bodies over ``a.row_of``, the row of each nonzero.
+* native: the C functions of ``_native.c``.  One ``ctypes`` call, which
+  releases the interpreter lock, runs every partition: the calling thread
+  and the threads it starts claim partitions from one counter, and all of
+  them are joined before the call returns;
+* numpy: vectorized bodies over ``a.row_of``, the row of each nonzero,
+  run by ``run_partitions`` on a shared thread pool.
 
 The first kernel call, never the import, builds the library with ``$CC``
 (default ``cc``) and ``FLAGS`` into ``$XDG_CACHE_HOME/spmvtune/`` (default
@@ -23,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -30,7 +37,10 @@ import numpy as np
 
 # No -ffast-math and no -march=native: a fused multiply-add or a
 # reassociated sum would change results in the last bit.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
+# The most threads one kernel call runs, on either backend; _native.c's
+# MAX_THREADS.
+MAX_THREADS = 32
 _SOURCE = Path(__file__).with_name("_native.c")
 
 # (the library or None, the backend's description), set on first use.
@@ -62,14 +72,15 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
     except (OSError, RuntimeError, ValueError) as exc:
         return None, f"numpy ({' '.join(str(exc).split())})"
     pointer, count = ctypes.c_void_p, ctypes.c_int64
+    parts = [pointer, count, count]  # bounds, nparts, threads
     for width in ("i32", "i64"):
-        for name, argtypes in ((f"spmv_rows_{width}", [pointer] * 5 + [count] * 2),
-                               (f"spmv_prefetch_{width}", [pointer] * 5 + [count] * 3),
-                               (f"spmv_unrolled_{width}", [pointer] * 5 + [count] * 2),
-                               (f"spmv_delta8_{width}", [pointer] * 9 + [count] * 2),
-                               (f"spmv_delta16_{width}", [pointer] * 9 + [count] * 2)):
+        for name, argtypes in ((f"spmv_rows_{width}", [pointer] * 5),
+                               (f"spmv_prefetch_{width}", [pointer] * 5 + [count]),
+                               (f"spmv_unrolled_{width}", [pointer] * 5),
+                               (f"spmv_delta8_{width}", [pointer] * 9),
+                               (f"spmv_delta16_{width}", [pointer] * 9)):
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, None
+            fn.argtypes, fn.restype = argtypes + parts, None
     return lib, "native"
 
 
@@ -113,6 +124,48 @@ def _compile(cc: str, lib: Path) -> None:
 
 
 # --- numpy bodies -------------------------------------------------------------
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    # One long-lived pool; creating executors inside timed benchmark loops
+    # would charge thread startup to every measurement.
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=MAX_THREADS,
+                                       thread_name_prefix="spmv-worker")
+    return _pool
+
+
+def run_partitions(n: int, task, workers: int | None = None) -> None:
+    """Run ``task(p)`` for every p in ``range(n)``: the numpy backend's
+    scheduler.
+
+    ``workers`` threads (default ``n``) each claim the next unclaimed p from
+    a shared counter until none is left, so no worker idles while work
+    remains.  Tasks must write disjoint output slices; all of them complete
+    before this returns.
+    """
+    workers = n if workers is None else min(workers, n)
+    claims = iter(range(n))
+    lock = threading.Lock()
+
+    def worker(_):
+        while True:
+            with lock:
+                p = next(claims, None)
+            if p is None:
+                return
+            task(p)
+
+    if workers <= 1:
+        worker(0)
+    else:  # list() propagates worker exceptions.
+        list(_shared_pool().map(worker, range(workers)))
+
 
 def _accumulate_rows(a, colind, x, y, lo: int, hi: int, first: int = 0) -> None:
     """``y[i]`` = the sum of row i's products, for rows ``lo..hi`` of ``a``.
@@ -171,23 +224,37 @@ def _native_arguments(kind, a, *args):
 
 
 def partition_body(kind: str, a, *args):
-    """The ``kind`` body over ``a``, on the native backend when its library
-    loads and on numpy otherwise.  ``args`` is ``(colind,)`` for ``rows``,
-    ``(distance,)`` for ``prefetch`` and empty for ``unrolled`` and ``delta``.
+    """``run(x, y, bounds, workers=None)`` for the ``kind`` body over ``a``,
+    on the native backend when its library loads and on numpy otherwise.
+    ``args`` is ``(colind,)`` for ``rows``, ``(distance,)`` for ``prefetch``
+    and empty for ``unrolled`` and ``delta``.
 
-    The one place a backend is chosen.  Only the numpy bodies read
-    ``a.row_of``; it is built here, not by racing worker threads.
+    ``run`` fills ``y`` over the partitions of the int64 array ``bounds`` on
+    ``min(workers, partitions, MAX_THREADS)`` threads, ``workers`` defaulting
+    to one per partition.  The one place a backend is chosen.  Only the numpy
+    bodies read ``a.row_of``; it is built here, not by racing worker threads.
     """
     lib = library()
     if lib is None:
         a.row_of
-        return partial(_NUMPY[kind], a, *args)
+        body = partial(_NUMPY[kind], a, *args)
+
+        def run(x, y, bounds, workers=None):
+            run_partitions(len(bounds) - 1,
+                           lambda p: body(x, y, int(bounds[p]), int(bounds[p + 1])),
+                           workers)
+
+        return run
     stem, arrays, ints = _native_arguments(kind, a, *args)
     fn = getattr(lib, f"spmv_{stem}_i{8 * a.rowptr.itemsize}")
     pointers = [arr.ctypes.data for arr in arrays]  # ~2 us each: taken once
 
-    def body(x, y, lo, hi):
-        fn(*pointers, x.ctypes.data, y.ctypes.data, lo, hi, *ints)
+    def run(x, y, bounds, workers=None):
+        # The C side caps the threads at MAX_THREADS; min() keeps a huge
+        # ``workers`` from wrapping in ctypes.
+        n = len(bounds) - 1
+        fn(*pointers, x.ctypes.data, y.ctypes.data, *ints, bounds.ctypes.data, n,
+           n if workers is None else min(workers, n))
 
-    body.arrays = arrays  # alive while the body is: noxmiss's are temporary
-    return body
+    run.arrays = arrays  # alive while run is: noxmiss's are temporary
+    return run

@@ -28,7 +28,7 @@ class AdvisorConfig:
             raise ValueError("workers and reps must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        # The pooled kernels run one thread per worker.
+        # A kernel runs up to one thread per worker (at most 32).
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         if self.workers > 4 * cpus:

@@ -3,15 +3,14 @@
 CSR keeps the nonzeros of each row contiguous in memory; a row pointer
 array of length ``nrows + 1`` marks row boundaries inside the ``colind``
 and ``values`` arrays.  Every kernel in this package runs its partitions
-through a body from ``bodies.partition_body``, which sums each row left to
-right on either backend, so for identical inputs the output is reproducible
-bit for bit however the rows are partitioned and whichever backend runs.
+through ``bodies.partition_body``, which sums each row left to right on one
+thread on either backend, so for identical inputs the output is
+reproducible bit for bit however the rows are partitioned, however many
+threads run them and whichever backend runs.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -256,55 +255,15 @@ def partition_rows_by_nnz(a: CsrMatrix, p: int) -> RowPartition:
     return RowPartition(bounds)
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    # One long-lived pool; creating executors inside timed benchmark loops
-    # would charge thread startup to every measurement.
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=32,
-                                       thread_name_prefix="spmv-worker")
-    return _pool
-
-
-def run_partitions(n: int, task, workers: int | None = None) -> None:
-    """Run ``task(p)`` for every p in ``range(n)``.
-
-    ``workers`` threads (default ``n``) each claim the next unclaimed p from
-    a shared counter until none is left, so no worker idles while work
-    remains.  Tasks must write disjoint output slices; all of them complete
-    before this returns.
-    """
-    workers = n if workers is None else min(workers, n)
-    claims = iter(range(n))
-    lock = threading.Lock()
-
-    def worker(_):
-        while True:
-            with lock:
-                p = next(claims, None)
-            if p is None:
-                return
-            task(p)
-
-    if workers <= 1:
-        worker(0)
-    else:  # list() propagates worker exceptions.
-        list(_shared_pool().map(worker, range(workers)))
-
-
-def _row_kernel(a, x, part: RowPartition | None, body,
+def _row_kernel(a, x, part: RowPartition | None, run,
                 workers: int | None = None) -> np.ndarray:
     """The one driver of every kernel entry point.
 
     Counts the call, checks ``x`` and the partition (the whole matrix when
-    ``part`` is None), allocates ``y`` and runs ``body(x, y, lo, hi)`` over
-    every partition through ``run_partitions`` with ``workers`` threads.
-    ``body`` fills ``y[lo:hi]``.
+    ``part`` is None), allocates ``y`` and calls ``run(x, y, boundaries,
+    workers)`` from ``bodies.partition_body`` once, which fills ``y`` over
+    every partition on at most ``workers`` threads (default one per
+    partition).
     """
     global _kernel_calls
     _kernel_calls += 1
@@ -316,7 +275,7 @@ def _row_kernel(a, x, part: RowPartition | None, body,
     if int(part.boundaries[-1]) != a.nrows:
         raise ValueError("partition does not cover all matrix rows")
     y = np.zeros(a.nrows, dtype=np.float64)
-    run_partitions(len(part), lambda p: body(x, y, *part.bounds(p)), workers)
+    run(x, y, part.boundaries, workers)
     return y
 
 

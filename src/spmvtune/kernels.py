@@ -247,18 +247,19 @@ def _partition_times(a: CsrMatrix, colind, x, part: RowPartition, timer):
     """The baseline body over ``colind``, timing each partition alone.
 
     Returns ``(y, durations)`` where ``durations[p]`` is partition p's own
-    time.  One worker runs the partitions in order, so no partition's time
-    includes another's work.
+    time.  The partitions run one after another on the calling thread, so
+    no partition's time includes another's work.
     """
     durations = []
     rows = partition_body("rows", a, colind)
 
-    def body(x, y, lo, hi):
-        t0 = timer()
-        rows(x, y, lo, hi)
-        durations.append(timer() - t0)
+    def run(x, y, bounds, workers):
+        for p in range(len(bounds) - 1):
+            t0 = timer()
+            rows(x, y, bounds[p:p + 2], 1)
+            durations.append(timer() - t0)
 
-    return _row_kernel(a, x, part, body, workers=1), durations
+    return _row_kernel(a, x, part, run), durations
 
 
 def bench_balance(a: CsrMatrix, x, part: RowPartition, timer=time.perf_counter):

@@ -10,7 +10,7 @@ from spmvtune import (CsrMatrix, MatrixMarketError, TripletList,
                       partition_rows_by_nnz, spmv_baseline, to_dense,
                       write_matrix_market, read_matrix_market)
 from spmvtune import mmio
-from spmvtune.csr import run_partitions
+from spmvtune.bodies import run_partitions
 
 from conftest import random_triplets
 from oracles import dense_from_triplets, dense_matvec

@@ -1,6 +1,8 @@
+import ctypes
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spmvtune import (CsrMatrix, RowPartition, SchedulePolicy, ScheduleKind,
-                      TripletList, bench_balance, bench_inflate, bench_noxmiss,
+                      TripletList, bench_balance, bodies, bench_inflate, bench_noxmiss,
                       csr_from_triplets, decode_delta, encode_delta,
                       kernel_call_count, measure, partition_rows_by_nnz,
                       spmv_baseline, spmv_delta, spmv_prefetch, spmv_scheduled,
@@ -435,9 +437,11 @@ def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=10),
        st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
        st.sampled_from([30, 600, 70_000]), st.sampled_from([32, 64]),
-       st.integers(1, 20))
-def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, distance):
-    # Up to 70k columns mix 8-bit, 16-bit and absolute delta rows.
+       st.integers(1, 20), st.integers(1, 5))
+def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, distance,
+                                    chunk_rows):
+    # Up to 70k columns mix 8-bit, 16-bit and absolute delta rows.  Both
+    # schedules run on ``parts`` workers.
     rng = np.random.default_rng(seed)
     entries = [(i, int(c), float(rng.uniform(-2.0, 2.0)))
                for i, k in enumerate(row_lengths)
@@ -446,8 +450,13 @@ def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, dist
                           index_width=width)
     x = rng.uniform(-2.0, 2.0, ncols)
     part = partition_rows_by_nnz(a, parts)
+    dynamic = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows)
     kernels = {**KERNEL_ENTRY_POINTS,
-               "prefetch": (lambda a, x, part: spmv_prefetch(a, x, part, distance), True)}
+               "prefetch": (lambda a, x, part: spmv_prefetch(a, x, part, distance), True),
+               "scheduled-static": (lambda a, x, part: spmv_scheduled(
+                   a, x, SchedulePolicy(ScheduleKind.STATIC_NNZ), parts), False),
+               "scheduled-dynamic": (lambda a, x, part: spmv_scheduled(
+                   a, x, dynamic, parts), False)}
     results = {}
     for name in BACKENDS:
         with pytest.MonkeyPatch.context() as mp:
@@ -455,6 +464,89 @@ def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, dist
             results[name] = {k: kernel(a, x, part).tobytes()
                              for k, (kernel, _) in kernels.items()}
     assert results["native"] == results["numpy"]
+
+
+def _threads() -> int:
+    """This process's thread count, from /proc/self/status."""
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    for line in status.splitlines():
+        if line.startswith("Threads:"):
+            return int(line.split()[1])
+    pytest.skip("/proc/self/status has no Threads: line")
+
+
+def _chunked_case():
+    """A 64-row matrix, its x, one-row chunks and the oracle's y."""
+    rng = np.random.default_rng(17)
+    a = csr_from_triplets(random_triplets(rng, 64, 40, 0.2))
+    x = rng.uniform(-2.0, 2.0, 40)
+    expected = sequential_matvec(a.rowptr.tolist(), a.colind.tolist(),
+                                 a.values.tolist(), x.tolist())
+    return a, x, SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows=1), expected
+
+
+def test_native_kernels_leave_no_thread_behind(matrix_e, monkeypatch):
+    # Every thread a native call starts is joined before it returns, so a
+    # fork after a kernel call copies no worker thread.  The Python pool
+    # serves the numpy backend only.
+    use_backend(monkeypatch, "native")
+    monkeypatch.setattr(bodies, "_shared_pool",
+                        lambda: pytest.fail("a native call used the pool"))
+    part = partition_rows_by_nnz(matrix_e, 2)
+    for name, (kernel, _) in KERNEL_ENTRY_POINTS.items():
+        before = _threads()
+        assert kernel(matrix_e, np.ones(4), part).tolist() == [3, 3, 0, 15]
+        assert _threads() == before, name
+    # 64 one-row chunks: at most 32 threads, so even a broken cap starts 63.
+    a, x, policy, expected = _chunked_case()
+    before = _threads()
+    assert spmv_scheduled(a, x, policy, workers=10**6).tolist() == expected
+    assert _threads() == before
+
+
+# Built into the library by -include: pthread_create counts its calls in
+# `creates` and, while `fail_every_other` is set, fails every second one.
+_COUNTED_CREATE = r"""
+#include <errno.h>
+#include <pthread.h>
+int creates, fail_every_other;
+static int counted_create(pthread_t *thread, const pthread_attr_t *attr,
+                          void *(*start)(void *), void *arg)
+{
+    if (creates++ % 2 && fail_every_other)
+        return EAGAIN;
+    return pthread_create(thread, attr, start, arg);
+}
+#define pthread_create counted_create
+"""
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_native_thread_cap_and_failed_starts(tmp_path, monkeypatch, fail):
+    use_backend(monkeypatch, "native")
+    shim, lib = tmp_path / "counted_create.h", tmp_path / "counted.so"
+    shim.write_text(_COUNTED_CREATE)
+    subprocess.run([*shlex.split(os.environ.get("CC") or "cc"), *bodies.FLAGS,
+                    "-include", str(shim), "-o", str(lib), str(bodies._SOURCE)],
+                   check=True, capture_output=True, timeout=120)
+    monkeypatch.setattr(bodies, "_build", lambda: lib)
+    monkeypatch.setattr(bodies, "_state", None)
+    assert bodies.backend() == "native"
+    counted = ctypes.CDLL(str(lib))
+    creates = ctypes.c_int.in_dll(counted, "creates")
+    ctypes.c_int.in_dll(counted, "fail_every_other").value = fail
+    a, x, policy, expected = _chunked_case()
+    # The calling thread is one of min(workers, 64 chunks, 32) threads; after
+    # a failed start no other start is tried and the started threads do all.
+    for workers, starts in [(1, 0), (2, 1), (3, 2), (32, 31), (10**6, 31)]:
+        creates.value = 0
+        before = _threads()
+        assert spmv_scheduled(a, x, policy, workers).tolist() == expected
+        assert creates.value == (min(starts, 2) if fail else starts), workers
+        assert _threads() == before
 
 
 def _run_python(code: str, **env) -> subprocess.CompletedProcess:
