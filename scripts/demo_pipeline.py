@@ -23,9 +23,9 @@ SHAPES = {
     "skewed": (4000, 6),
     "small-dense": (64, 16),
 }
-# One worker: on matrices this small a pooled run loses more to thread
-# hand-off than its workers overlap, and profiling times each partition
-# alone anyway; see README caveats.
+# One worker: a kernel call on two partitions starts and joins a thread
+# every time, which costs more than these small kernels take, and profiling
+# times each partition alone anyway; see README caveats.
 FLAGS = ["--workers", "1", "--reps", "3", "--warmup", "1",
          "--llc-bytes", "16384"]
 

@@ -14,9 +14,10 @@ from .csr import (CsrMatrix, RowPartition, TripletList, csr_from_triplets,
 from .features import (FEATURE_NAMES, FEATURE_SUBSETS, CacheConfig,
                        FeatureVector, extract_features, resolve_subset,
                        select_features, working_set_bytes)
-from .kernels import (SchedulePolicy, ScheduleKind, bench_balance,
-                      bench_inflate, bench_noxmiss, decode_delta, encode_delta,
-                      spmv_delta, spmv_prefetch, spmv_scheduled, spmv_unrolled)
+from .kernels import (VARIANTS, SchedulePolicy, ScheduleKind, Variant,
+                      bench_balance, bench_inflate, bench_noxmiss, decode_delta,
+                      encode_delta, optimization_for, spmv_delta, spmv_prefetch,
+                      spmv_scheduled, spmv_unrolled)
 from .ml import (Dataset, GaussianNB, ModelFormatError, TrainedModel,
                  load_model, loo_cv, save_model, train_cart, train_gnb)
 from .mmio import (MatrixMarketError, load_matrix, parse_matrix_market,
@@ -24,6 +25,6 @@ from .mmio import (MatrixMarketError, load_matrix, parse_matrix_market,
 from .profiling import (BenchmarkReport, ThresholdConfig, classify_from_report,
                         classify_profiling, measure)
 from .reporting import SpeedupStats
-from .taxonomy import MatrixClass, OptimizationKind, optimization_for
+from .taxonomy import MatrixClass
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +28,14 @@ from .csr import CsrMatrix, partition_rows_by_nnz, spmv_baseline
 from .features import (FEATURE_NAMES, FeatureVector, extract_features,
                        resolve_subset, select_features)
 from .generate import GENERATOR_KINDS, generate_matrix
-from .kernels import (SchedulePolicy, ScheduleKind, encode_delta, spmv_delta,
-                      spmv_prefetch, spmv_scheduled, spmv_unrolled)
+from .kernels import BASELINE, VARIANTS, optimization_for
 from .ml import (Dataset, ModelFormatError, TrainedModel, load_model, loo_cv,
                  save_model, train_cart, train_gnb)
 from .mmio import MatrixMarketError, load_matrix, write_matrix_market
 from .profiling import BenchmarkReport, classify_profiling, median_time
 from .reporting import SpeedupStats
-from .taxonomy import MatrixClass, optimization_for
+from .taxonomy import MatrixClass
 
-VARIANTS = ("baseline", "delta", "prefetch", "dynamic", "unrolled")
 REPORT_FIELDS = ("t_baseline", "t_noxmiss", "t_inflate", "t_balance_mean",
                  "s_cml", "s_mb", "s_imb")
 
@@ -280,7 +279,7 @@ def _cmd_advise(args, timer) -> int:
     cls, evidence = _classify(a, x, cfg, model, timer)
     print(f"matrix: {args.matrix} ({a.nrows}x{a.ncols}, {a.nnz} nonzeros)")
     print(f"class: {cls.name}")
-    print(f"optimization: {optimization_for(cls).value}")
+    print(f"optimization: {optimization_for(cls).optimization}")
     print("evidence:")
     for name in REPORT_FIELDS if model is None else FEATURE_NAMES:
         print(f"  {name} {getattr(evidence, name):.6g}")
@@ -336,47 +335,26 @@ def _cmd_bench(args, timer) -> int:
     if unknown or not variants:
         raise UsageError(f"unknown variant(s): {', '.join(unknown) or '(none given)'}; "
                          f"choose from: {', '.join(VARIANTS)}")
+    repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
+    if repeated:
+        raise UsageError(f"variant {repeated[0]!r} is named twice")
     a = load_matrix(args.matrix)
     x = _spmv_input(a, args.seed)
     part = partition_rows_by_nnz(a, cfg.workers)
-    chunk = max(1, -(-a.nrows // (cfg.workers * 8)))
-
-    runners = {"baseline": lambda: spmv_baseline(a, x, part)}
-    if "delta" in variants:
-        encoded = encode_delta(a)
-        runners["delta"] = lambda: spmv_delta(encoded, x, part)
-    if "prefetch" in variants:
-        runners["prefetch"] = lambda: spmv_prefetch(a, x, part,
-                                                    cfg.prefetch_distance)
-    if "dynamic" in variants:
-        policy = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows=chunk)
-        runners["dynamic"] = lambda: spmv_scheduled(a, x, policy, cfg.workers)
-    if "unrolled" in variants:
-        runners["unrolled"] = lambda: spmv_unrolled(a, x, part)
+    runners = {name: VARIANTS[name].prepare(a, cfg, part)
+               for name in (BASELINE.name, *variants)}
 
     # Correctness gate before any timing: a speedup from a wrong answer is
     # worthless.
-    y_ref = spmv_baseline(a, x, part)
-    finite = np.abs(y_ref[np.isfinite(y_ref)])  # an inf would make atol inf
-    scale = max(1.0, float(finite.max()) if finite.size else 1.0)
+    y_ref = runners[BASELINE.name](x)
     for name in variants:
-        if name == "baseline":
-            continue
-        y = runners[name]()
-        if name == "unrolled":
-            ok = np.allclose(y, y_ref, rtol=1e-10, atol=1e-12 * scale,
-                             equal_nan=True)
-        else:
-            ok = np.array_equal(y, y_ref, equal_nan=True)
-        if not ok:
+        if not VARIANTS[name].agrees(runners[name](x), y_ref):
             raise DataError(f"internal error: variant {name!r} disagrees with baseline")
 
-    t_base = median_time(runners["baseline"], cfg.reps, cfg.warmup, timer)
-    rows = []
-    for name in variants:
-        seconds = (t_base if name == "baseline"
-                   else median_time(runners[name], cfg.reps, cfg.warmup, timer))
-        rows.append((name, seconds, t_base / seconds))
+    # The baseline first, then the variants in the order given.
+    times = {name: median_time(partial(run, x), cfg.reps, cfg.warmup, timer)
+             for name, run in runners.items()}
+    rows = [(name, times[name], times[BASELINE.name] / times[name]) for name in variants]
     best = max(rows, key=lambda r: r[2])
     print(f"backend: {backend()}")
     for name, seconds, speedup in rows:
@@ -393,10 +371,7 @@ def _cmd_bench(args, timer) -> int:
 
 def _read_speedups(path) -> list[float]:
     values = []
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
+    lines = Path(path).read_text(encoding="ascii").splitlines()  # OSError: exit 2
     for idx, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -420,14 +395,12 @@ def _cmd_report(args, timer) -> int:
     values = _read_speedups(args.results)
     stats = SpeedupStats.from_values(values)
     print(f"n {len(values)}")
-    for line in stats.summary_lines():
-        print(line)
+    print(*stats.summary_lines(), sep="\n")
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["min", "q1", "mean", "q3", "max"])
-            writer.writerow([repr(stats.minimum), repr(stats.q1), repr(stats.mean),
-                             repr(stats.q3), repr(stats.maximum)])
+            writer.writerow(map(repr, dataclasses.astuple(stats)))
     return 0
 
 

@@ -88,6 +88,10 @@ def _check_rowptr(nrows: int, ncols: int, rowptr: np.ndarray) -> None:
 
 
 class _RowOf:
+    @property
+    def nnz(self) -> int:
+        return int(self.rowptr[-1])
+
     @cached_property
     def row_of(self) -> np.ndarray:
         """The row of each nonzero, in ``rowptr``'s dtype; built on first use."""
@@ -138,10 +142,6 @@ class CsrMatrix(_RowOf):
             gap[starts] = 1  # a row's first column follows no other
             if np.any(gap <= 0):
                 raise ValueError("column indices must be strictly increasing per row")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.rowptr[-1])
 
     @property
     def index_bytes(self) -> int:
@@ -196,10 +196,6 @@ class RowPartition:
             raise ValueError("partition must start at row 0")
         if np.any(np.diff(self.boundaries) < 0):
             raise ValueError("partition boundaries must be non-decreasing")
-
-    @classmethod
-    def whole(cls, nrows: int) -> "RowPartition":
-        return cls(np.array([0, nrows], dtype=np.int64))
 
     def __len__(self) -> int:
         return int(self.boundaries.size - 1)
@@ -271,7 +267,7 @@ def _row_kernel(a, x, part: RowPartition | None, run,
     if x.shape != (a.ncols,):
         raise ValueError(f"x has length {x.shape}, expected ({a.ncols},)")
     if part is None:
-        part = RowPartition.whole(a.nrows)
+        part = RowPartition(np.array([0, a.nrows]))
     if int(part.boundaries[-1]) != a.nrows:
         raise ValueError("partition does not cover all matrix rows")
     y = np.zeros(a.nrows, dtype=np.float64)

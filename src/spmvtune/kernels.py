@@ -1,4 +1,4 @@
-"""Optimized SpMV variants and the micro-benchmark kernels.
+"""Optimized SpMV variants, the variant table and the micro-benchmark kernels.
 
 Four class-targeted variants (delta-compressed indices, software prefetch,
 dynamic scheduling, unrolled inner loop) plus three diagnostic kernels
@@ -6,6 +6,7 @@ dynamic scheduling, unrolled inner loop) plus three diagnostic kernels
 All variants except ``bench_noxmiss`` compute the same y as the baseline
 kernel: bitwise-equal for delta/prefetch/inflate/scheduled, within a small
 relative tolerance for the unrolled variant whose summation order differs.
+``VARIANTS`` declares each variant, its class and that rule once.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import enum
 import time
 from dataclasses import dataclass, field
 from statistics import fmean
+from typing import Callable
 
 import numpy as np
 
 from .bodies import partition_body
 from .csr import (CsrMatrix, RowPartition, _RowOf, _check_rowptr, _row_kernel,
-                  partition_rows_by_nnz, spmv_baseline)
+                  spmv_baseline)
+from .taxonomy import MatrixClass
 
 _DELTA_LIMITS = {8: 255, 16: 65535}
 _DELTA_DTYPES = {8: np.uint8, 16: np.uint16}
@@ -29,7 +32,6 @@ _DELTA_CODABLE_FRACTION = 0.9
 
 
 class ScheduleKind(enum.Enum):
-    STATIC_NNZ = "static_nnz"
     DYNAMIC_CHUNKED = "dynamic_chunked"
 
 
@@ -104,10 +106,6 @@ class DeltaCsrMatrix(_RowOf):
                       self.abs_colind.max(initial=-1))
         if largest >= self.ncols or self.abs_colind.min(initial=0) < 0:
             raise ValueError("column index out of range")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.rowptr[-1])
 
     @property
     def index_bytes(self) -> int:
@@ -195,15 +193,12 @@ def spmv_scheduled(a: CsrMatrix, x, policy: SchedulePolicy,
                    workers: int = 1) -> np.ndarray:
     """SpMV under a scheduling policy; y equals the baseline exactly.
 
-    ``static_nnz`` is the baseline over the nonzero-balanced partition.
     ``dynamic_chunked`` splits the rows into ``chunk_rows``-row ranges that
     ``workers`` threads claim one at a time, so no worker idles while
     unclaimed chunks remain.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if policy.kind is ScheduleKind.STATIC_NNZ:
-        return spmv_baseline(a, x, partition_rows_by_nnz(a, workers))
     # The leading 0 keeps one (empty) chunk when the matrix has no rows.
     chunks = RowPartition(np.r_[0, np.arange(policy.chunk_rows, a.nrows,
                                              policy.chunk_rows), a.nrows])
@@ -271,3 +266,62 @@ def bench_balance(a: CsrMatrix, x, part: RowPartition, timer=time.perf_counter):
     """
     y, durations = _partition_times(a, a.colind, x, part, timer)
     return y, durations, fmean(durations)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of ``VARIANTS``: ``prepare(a, cfg, part)`` does the untimed
+    set-up and returns ``run(x)``, one call of a kernel it looks up when
+    called; ``cfg`` needs ``workers`` and ``prefetch_distance``.  ``rtol`` is
+    the agreement rule with the baseline; ``None`` means bitwise-equal."""
+
+    name: str
+    cls: MatrixClass | None   # the bottleneck it targets; None for the baseline
+    optimization: str
+    prepare: Callable[..., Callable[[np.ndarray], np.ndarray]]
+    rtol: float | None = None
+
+    def agrees(self, y: np.ndarray, y_ref: np.ndarray) -> bool:
+        """Whether ``y`` meets this variant's rule against the baseline's ``y_ref``."""
+        if self.rtol is None:
+            return np.array_equal(y, y_ref, equal_nan=True)
+        finite = np.abs(y_ref[np.isfinite(y_ref)])  # an inf would make atol inf
+        return np.allclose(y, y_ref, rtol=self.rtol, equal_nan=True,
+                           atol=1e-12 * max(1.0, float(finite.max(initial=0.0))))
+
+
+def _prepare_delta(a, cfg, part):
+    d = encode_delta(a)
+    return lambda x: spmv_delta(d, x, part)
+
+
+def _prepare_prefetch(a, cfg, part):
+    distance = cfg.prefetch_distance
+    return lambda x: spmv_prefetch(a, x, part, distance)
+
+
+def _prepare_dynamic(a, cfg, part):
+    """About eight chunks per worker; ``part`` plays no role."""
+    policy = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED,
+                            chunk_rows=max(1, -(-a.nrows // (cfg.workers * 8))))
+    return lambda x: spmv_scheduled(a, x, policy, cfg.workers)
+
+
+VARIANTS: dict[str, Variant] = {v.name: v for v in (
+    Variant("baseline", None, "none (the CSR baseline)",
+            lambda a, cfg, part: lambda x: spmv_baseline(a, x, part)),
+    Variant("delta", MatrixClass.MB,
+            "column index compression through delta coding", _prepare_delta),
+    Variant("prefetch", MatrixClass.CML, "software prefetching on vector x",
+            _prepare_prefetch),
+    Variant("dynamic", MatrixClass.IMB, "dynamic chunked row scheduling",
+            _prepare_dynamic),
+    Variant("unrolled", MatrixClass.CMP, "inner loop unrolling + vectorization",
+            lambda a, cfg, part: lambda x: spmv_unrolled(a, x, part), rtol=1e-10),
+)}
+BASELINE = VARIANTS["baseline"]  # the reference every row is checked and timed against
+
+
+def optimization_for(c: MatrixClass) -> Variant:
+    """The variant that targets bottleneck class ``c`` (total over MatrixClass)."""
+    return next(v for v in VARIANTS.values() if v.cls is MatrixClass(c))

@@ -98,10 +98,6 @@ def classify_from_report(r: BenchmarkReport,
     return MatrixClass.CMP
 
 
-def _null_timer() -> float:
-    return 0.0
-
-
 def median_time(fn, reps: int, warmup: int, timer=time.perf_counter, *,
                 self_timed: bool = False) -> float:
     """Median of ``reps`` timed runs of ``fn`` after ``warmup`` untimed ones.
@@ -124,7 +120,7 @@ def median_time(fn, reps: int, warmup: int, timer=time.perf_counter, *,
         return clock() - t0
 
     for _ in range(warmup):
-        sample(_null_timer)
+        sample(lambda: 0.0)
     return median([sample(timer) for _ in range(reps)])
 
 

@@ -1,6 +1,4 @@
-"""Bottleneck classes and the optimization each one calls for."""
-
-from __future__ import annotations
+"""Bottleneck classes; ``kernels.VARIANTS`` maps each to its optimization."""
 
 import enum
 
@@ -16,23 +14,3 @@ class MatrixClass(enum.IntEnum):
     MB = 1   # memory-bandwidth bound
     IMB = 2  # imbalance bound (uneven work across threads)
     CMP = 3  # compute bound (working set fits in cache)
-
-
-class OptimizationKind(enum.Enum):
-    PREFETCH_X = "software prefetching on vector x"
-    DELTA_COMPRESSION = "column index compression through delta coding"
-    DYNAMIC_SCHEDULING = "dynamic chunked row scheduling"
-    UNROLL_VECTORIZE = "inner loop unrolling + vectorization"
-
-
-_CLASS_OPTIMIZATION = {
-    MatrixClass.CML: OptimizationKind.PREFETCH_X,
-    MatrixClass.MB: OptimizationKind.DELTA_COMPRESSION,
-    MatrixClass.IMB: OptimizationKind.DYNAMIC_SCHEDULING,
-    MatrixClass.CMP: OptimizationKind.UNROLL_VECTORIZE,
-}
-
-
-def optimization_for(c: MatrixClass) -> OptimizationKind:
-    """Targeted optimization for a bottleneck class (total mapping)."""
-    return _CLASS_OPTIMIZATION[MatrixClass(c)]

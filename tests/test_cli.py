@@ -10,7 +10,7 @@ from spmvtune import (AdvisorConfig, CacheConfig, FEATURE_NAMES, MatrixClass,
                       ThresholdConfig, TrainedModel, extract_features,
                       classify_profiling, kernel_call_count, load_matrix,
                       reset_kernel_call_count, save_model)
-from spmvtune import cli
+from spmvtune import cli, kernels
 from spmvtune.cli import main
 from spmvtune.ml import DecisionTree, TreeLeaf
 
@@ -155,8 +155,8 @@ def test_bench_best_dominates_all_speedups(tmp_path, capsys):
 
 def test_bench_variant_off_by_one_ulp_fails_the_gate(tmp_path, capsys, monkeypatch):
     matrix = generate(tmp_path, "banded", 16, 3, 0)
-    right = cli.spmv_prefetch
-    monkeypatch.setattr(cli, "spmv_prefetch",
+    right = kernels.spmv_prefetch
+    monkeypatch.setattr(kernels, "spmv_prefetch",
                         lambda *args: np.nextafter(right(*args), np.inf))
     assert run(["bench", "--matrix", matrix, "--variants", "baseline,prefetch",
                 *FAST], timer=FakeTimer([0.01, 0.01])) == 2
@@ -176,14 +176,14 @@ def test_bench_infinite_entry_keeps_the_unrolled_gate(tmp_path, capsys, monkeypa
     matrix = tmp_path / "inf.mtx"
     matrix.write_text("%%MatrixMarket matrix coordinate real general\n"
                       "2 2 2\n1 1 inf\n2 2 1.0\n")
-    right = cli.spmv_unrolled
+    right = kernels.spmv_unrolled
 
     def wrong_row_2(*args):
         y = right(*args)
         y[1] *= 1.5
         return y
 
-    monkeypatch.setattr(cli, "spmv_unrolled", wrong_row_2)
+    monkeypatch.setattr(kernels, "spmv_unrolled", wrong_row_2)
     assert run(["bench", "--matrix", matrix, "--variants", "baseline,unrolled",
                 *FAST], timer=FakeTimer([0.01, 0.01])) == 2
     err = capsys.readouterr().err
@@ -193,6 +193,17 @@ def test_bench_infinite_entry_keeps_the_unrolled_gate(tmp_path, capsys, monkeypa
 def test_bench_unknown_variant_is_usage_error(tmp_path):
     matrix = generate(tmp_path, "banded", 8, 2, 0)
     assert run(["bench", "--matrix", matrix, "--variants", "warp-shuffle"]) == 1
+
+
+def test_bench_repeated_variant_is_usage_error(tmp_path, capsys):
+    matrix = generate(tmp_path, "banded", 8, 2, 0)
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    assert run(["bench", "--matrix", matrix, "--variants", "delta,delta,baseline",
+                "--out", out, *FAST]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: variant 'delta' is named twice\n"
 
 
 def test_bench_writes_results_csv(tmp_path):

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spmvtune import (CsrMatrix, RowPartition, SchedulePolicy, ScheduleKind,
-                      TripletList, bench_balance, bodies, bench_inflate, bench_noxmiss,
-                      csr_from_triplets, decode_delta, encode_delta,
+from spmvtune import (VARIANTS, AdvisorConfig, CsrMatrix, RowPartition, SchedulePolicy,
+                      ScheduleKind, TripletList, bench_balance, bodies, bench_inflate,
+                      bench_noxmiss, csr_from_triplets, decode_delta, encode_delta,
                       kernel_call_count, measure, partition_rows_by_nnz,
                       spmv_baseline, spmv_delta, spmv_prefetch, spmv_scheduled,
                       spmv_unrolled)
@@ -217,9 +217,6 @@ def test_prefetch_spmv_bitwise_equals_baseline(matrix_e):
 def test_scheduled_spmv_equals_baseline(matrix_e):
     policy = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows=1)
     assert spmv_scheduled(matrix_e, [1, 1, 1, 1], policy, workers=2).tolist() == [3, 3, 0, 15]
-    assert spmv_scheduled(matrix_e, [1, 1, 1, 1],
-                          SchedulePolicy(ScheduleKind.STATIC_NNZ), workers=2
-                          ).tolist() == [3, 3, 0, 15]
     # one row holding ~90% of the nonzeros
     entries = [(0, j, 1.0) for j in range(90)] + [(i, 0, 1.0) for i in range(1, 11)]
     skewed = csr_from_triplets(TripletList.from_entries(11, 90, entries))
@@ -268,7 +265,7 @@ def test_every_kernel_sums_each_row_left_to_right():
     x = np.ones(9)
     assert np.array(row).sum() == 5.0 and math.fsum(row) == 7.0
     for name, (kernel, _) in KERNEL_ENTRY_POINTS.items():
-        expected = 5.0 if name == "unrolled" else 6.0
+        expected = 5.0 if "unrolled" in name else 6.0
         assert kernel(a, x, None).tolist() == [expected], name
 
 
@@ -373,10 +370,6 @@ def test_all_variants_vs_baseline_bulk():
 
 # --- shared kernel contract -------------------------------------------------------
 
-def _scheduled(kind):
-    return lambda a, x, part: spmv_scheduled(a, x, SchedulePolicy(kind), workers=2)
-
-
 def _balance(a, x, part):
     part = partition_rows_by_nnz(a, 2) if part is None else part
     return bench_balance(a, x, part)[0]
@@ -387,12 +380,17 @@ KERNEL_ENTRY_POINTS = {
     "baseline": (spmv_baseline, True),
     "delta": (lambda a, x, part: spmv_delta(encode_delta(a), x, part), True),
     "prefetch": (spmv_prefetch, True),
-    "scheduled-static": (_scheduled(ScheduleKind.STATIC_NNZ), False),
-    "scheduled-dynamic": (_scheduled(ScheduleKind.DYNAMIC_CHUNKED), False),
+    "scheduled-dynamic": (lambda a, x, part: spmv_scheduled(
+        a, x, SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED), workers=2), False),
     "unrolled": (spmv_unrolled, True),
     "noxmiss": (bench_noxmiss, True),
     "inflate": (bench_inflate, True),
     "balance": (_balance, True),
+    # What ``bench`` runs: each row of the variant table, prepared for two
+    # workers.  The dynamic row takes no partition.
+    **{f"VARIANTS[{name!r}]": (
+        lambda a, x, part, v=v: v.prepare(a, AdvisorConfig(workers=2), part)(x),
+        name != "dynamic") for name, v in VARIANTS.items()},
 }
 
 
@@ -440,8 +438,8 @@ def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
        st.integers(1, 20), st.integers(1, 5))
 def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, distance,
                                     chunk_rows):
-    # Up to 70k columns mix 8-bit, 16-bit and absolute delta rows.  Both
-    # schedules run on ``parts`` workers.
+    # Up to 70k columns mix 8-bit, 16-bit and absolute delta rows.  The
+    # dynamic schedule runs on ``parts`` workers.
     rng = np.random.default_rng(seed)
     entries = [(i, int(c), float(rng.uniform(-2.0, 2.0)))
                for i, k in enumerate(row_lengths)
@@ -453,8 +451,6 @@ def test_backends_are_bitwise_equal(row_lengths, seed, parts, ncols, width, dist
     dynamic = SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, chunk_rows)
     kernels = {**KERNEL_ENTRY_POINTS,
                "prefetch": (lambda a, x, part: spmv_prefetch(a, x, part, distance), True),
-               "scheduled-static": (lambda a, x, part: spmv_scheduled(
-                   a, x, SchedulePolicy(ScheduleKind.STATIC_NNZ), parts), False),
                "scheduled-dynamic": (lambda a, x, part: spmv_scheduled(
                    a, x, dynamic, parts), False)}
     results = {}

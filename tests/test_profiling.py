@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spmvtune import (BenchmarkReport, MatrixClass, OptimizationKind,
+from spmvtune import (VARIANTS, BenchmarkReport, MatrixClass,
                       ThresholdConfig, classify_from_report,
                       classify_profiling, csr_from_triplets, measure,
                       optimization_for)
@@ -108,13 +108,17 @@ def test_cascade_is_pure():
     assert classify_from_report(r, th) is classify_from_report(r, th)
 
 
-def test_optimization_mapping_is_total():
-    assert optimization_for(MatrixClass.CML) is OptimizationKind.PREFETCH_X
-    assert optimization_for(MatrixClass.MB) is OptimizationKind.DELTA_COMPRESSION
-    assert optimization_for(MatrixClass.IMB) is OptimizationKind.DYNAMIC_SCHEDULING
-    assert optimization_for(MatrixClass.CMP) is OptimizationKind.UNROLL_VECTORIZE
-    for c in MatrixClass:
-        assert isinstance(optimization_for(c), OptimizationKind)
+def test_variant_table_maps_each_class_to_one_row():
+    rows = {c: [v.name for v in VARIANTS.values() if v.cls is c] for c in MatrixClass}
+    assert rows == {MatrixClass.CML: ["prefetch"], MatrixClass.MB: ["delta"],
+                    MatrixClass.IMB: ["dynamic"], MatrixClass.CMP: ["unrolled"]}
+    assert {c.name: optimization_for(c).optimization for c in MatrixClass} == {
+        "CML": "software prefetching on vector x",
+        "MB": "column index compression through delta coding",
+        "IMB": "dynamic chunked row scheduling",
+        "CMP": "inner loop unrolling + vectorization",
+    }
+    assert all(optimization_for(c) is VARIANTS[names[0]] for c, names in rows.items())
 
 
 # --- measure ---------------------------------------------------------------------
