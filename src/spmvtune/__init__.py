@@ -9,15 +9,13 @@ variant.
 
 from .config import AdvisorConfig
 from .csr import (CsrMatrix, RowPartition, TripletList, csr_from_triplets,
-                  kernel_call_count, partition_rows_by_nnz,
-                  reset_kernel_call_count, spmv_baseline, to_dense)
+                  kernel_call_count, partition_rows_by_nnz, spmv_baseline)
 from .features import (FEATURE_NAMES, FEATURE_SUBSETS, CacheConfig,
                        FeatureVector, extract_features, resolve_subset,
                        select_features, working_set_bytes)
 from .kernels import (VARIANTS, SchedulePolicy, ScheduleKind, Variant,
-                      bench_balance, bench_inflate, bench_noxmiss, decode_delta,
-                      encode_delta, optimization_for, spmv_delta, spmv_prefetch,
-                      spmv_scheduled, spmv_unrolled)
+                      bench_balance, decode_delta, encode_delta, optimization_for,
+                      spmv_delta, spmv_prefetch, spmv_scheduled, spmv_unrolled)
 from .ml import (Dataset, GaussianNB, ModelFormatError, TrainedModel,
                  load_model, loo_cv, save_model, train_cart, train_gnb)
 from .mmio import (MatrixMarketError, load_matrix, parse_matrix_market,

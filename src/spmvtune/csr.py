@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -27,13 +26,8 @@ _kernel_calls = 0
 
 
 def kernel_call_count() -> int:
-    """Number of SpMV-style kernel executions since the last reset."""
+    """Number of SpMV-style kernel executions since import."""
     return _kernel_calls
-
-
-def reset_kernel_call_count() -> None:
-    global _kernel_calls
-    _kernel_calls = 0
 
 
 @dataclass
@@ -66,10 +60,6 @@ class TripletList:
         cols = np.array([e[1] for e in entries], dtype=np.int64)
         vals = np.array([e[2] for e in entries], dtype=np.float64)
         return cls(nrows, ncols, rows, cols, vals)
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            yield int(r), int(c), float(v)
 
     def __len__(self) -> int:
         return int(self.rows.size)
@@ -167,10 +157,6 @@ class CsrMatrix(_RowOf):
         return CsrMatrix(self.nrows, self.ncols, self.rowptr, self.colind,
                          self.values, index_width=width)
 
-    def to_triplets(self) -> TripletList:
-        return TripletList(self.nrows, self.ncols, self.row_of.astype(np.int64),
-                           self.colind.astype(np.int64), self.values.copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsrMatrix):
             return NotImplemented
@@ -200,9 +186,6 @@ class RowPartition:
     def __len__(self) -> int:
         return int(self.boundaries.size - 1)
 
-    def bounds(self, p: int) -> tuple[int, int]:
-        return int(self.boundaries[p]), int(self.boundaries[p + 1])
-
 
 def csr_from_triplets(t: TripletList, index_width: int = 32) -> CsrMatrix:
     """Build a CSR matrix: entries sorted by (row, col), duplicates summed.
@@ -222,13 +205,6 @@ def csr_from_triplets(t: TripletList, index_width: int = 32) -> CsrMatrix:
         rows, cols, vals = rows[idx], cols[idx], np.add.reduceat(vals, idx)
     rowptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=t.nrows))))
     return CsrMatrix(t.nrows, t.ncols, rowptr, cols, vals, index_width=index_width)
-
-
-def to_dense(a: CsrMatrix) -> np.ndarray:
-    """Lossless row-major dense expansion (tests and tooling only)."""
-    out = np.zeros((a.nrows, a.ncols), dtype=np.float64)
-    out[a.row_of, a.colind] = a.values
-    return out
 
 
 def partition_rows_by_nnz(a: CsrMatrix, p: int) -> RowPartition:

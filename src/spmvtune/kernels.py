@@ -1,12 +1,13 @@
-"""Optimized SpMV variants, the variant table and the micro-benchmark kernels.
+"""Optimized SpMV variants, the variant table and the per-partition timer.
 
 Four class-targeted variants (delta-compressed indices, software prefetch,
-dynamic scheduling, unrolled inner loop) plus three diagnostic kernels
-(``noxmiss``, ``inflate``, ``balance``) used by the profiling classifier.
-All variants except ``bench_noxmiss`` compute the same y as the baseline
-kernel: bitwise-equal for delta/prefetch/inflate/scheduled, within a small
-relative tolerance for the unrolled variant whose summation order differs.
-``VARIANTS`` declares each variant, its class and that rule once.
+dynamic scheduling, unrolled inner loop) compute the same y as the baseline
+kernel: bitwise-equal for delta/prefetch/scheduled, within a small relative
+tolerance for the unrolled variant whose summation order differs.
+``VARIANTS`` declares each variant, its class and that rule once.  The
+profiling classifier's probes (``noxmiss``, ``inflate``, ``balance``) are
+built and timed by ``profiling.measure`` through ``_partition_times``;
+``bench_balance`` exposes the balance probe's per-worker times.
 """
 
 from __future__ import annotations
@@ -215,27 +216,6 @@ def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     than 4 elements.
     """
     return _row_kernel(a, x, part, partition_body("unrolled", a))
-
-
-def bench_noxmiss(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
-    """Diagnostic kernel with all column indices forced to zero.
-
-    Eliminates irregular accesses to x entirely: every row reduces to
-    x[0] * (sum of its values).  A large speedup over the baseline points
-    at cache-miss-latency-bound matrices.  The result intentionally
-    differs from a true SpMV.
-    """
-    return _row_kernel(a, x, part, partition_body("rows", a, np.zeros_like(a.colind)))
-
-
-def bench_inflate(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarray:
-    """Diagnostic kernel over a 64-bit-index copy of the matrix.
-
-    Doubles the index storage relative to the 32-bit baseline without
-    changing the arithmetic; a large slowdown points at bandwidth-bound
-    matrices.  y is bitwise-equal to the baseline.
-    """
-    return spmv_baseline(a.with_index_width(64), x, part)
 
 
 def _partition_times(a: CsrMatrix, colind, x, part: RowPartition, timer):

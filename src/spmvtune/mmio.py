@@ -195,5 +195,5 @@ def write_matrix_market(path, t: TripletList, comments=()) -> None:
         for comment in comments:
             fh.write(f"% {comment}\n")
         fh.write(f"{t.nrows} {t.ncols} {len(t)}\n")
-        for r, c, v in t.entries():
+        for r, c, v in zip(t.rows.tolist(), t.cols.tolist(), t.vals.tolist()):
             fh.write(f"{r + 1} {c + 1} {v!r}\n")

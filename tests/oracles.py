@@ -22,6 +22,14 @@ def dense_from_triplets(t) -> np.ndarray:
     return out
 
 
+def dense_from_csr(nrows, ncols, rowptr, colind, values) -> np.ndarray:
+    out = np.zeros((nrows, ncols))
+    for i in range(nrows):
+        for j in range(int(rowptr[i]), int(rowptr[i + 1])):
+            out[i, int(colind[j])] = values[j]
+    return out
+
+
 def dense_matvec(dense: np.ndarray, x) -> np.ndarray:
     n, m = dense.shape
     return np.array([math.fsum(dense[i, j] * x[j] for j in range(m))

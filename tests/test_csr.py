@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from spmvtune import (CsrMatrix, MatrixMarketError, TripletList,
                       csr_from_triplets, load_matrix, parse_matrix_market,
-                      partition_rows_by_nnz, spmv_baseline, to_dense,
+                      partition_rows_by_nnz, spmv_baseline,
                       write_matrix_market, read_matrix_market)
 from spmvtune import mmio
 from spmvtune.bodies import run_partitions
 
 from conftest import random_triplets
-from oracles import dense_from_triplets, dense_matvec
+from oracles import dense_from_csr, dense_from_triplets, dense_matvec
 
 
 @st.composite
@@ -29,36 +29,42 @@ def triplet_lists(draw, max_rows=16, max_cols=16, max_nnz=60):
     return TripletList.from_entries(nrows, ncols, entries)
 
 
+def by_position(t: TripletList) -> tuple[list, list, list]:
+    """The rows, cols and vals arrays of ``t``, sorted by (row, col)."""
+    order = np.lexsort((t.cols, t.rows))
+    return t.rows[order].tolist(), t.cols[order].tolist(), t.vals[order].tolist()
+
+
 # --- Matrix Market parsing ---------------------------------------------------
 
 def test_parse_general_real():
     text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5.0\n2 2 7.0\n"
     t = parse_matrix_market(text)
     assert (t.nrows, t.ncols) == (2, 2)
-    assert sorted(t.entries()) == [(0, 0, 5.0), (1, 1, 7.0)]
+    assert by_position(t) == ([0, 1], [0, 1], [5.0, 7.0])
 
 
 def test_parse_symmetric_mirrors_offdiagonal():
     text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n2 1 3.0\n"
     t = parse_matrix_market(text)
-    assert sorted(t.entries()) == [(0, 0, 1.0), (0, 1, 3.0), (1, 0, 3.0)]
+    assert by_position(t) == ([0, 0, 1], [0, 1, 0], [1.0, 3.0, 3.0])
 
 
 def test_parse_pattern_gets_unit_values():
     text = "%%MatrixMarket matrix coordinate pattern general\n1 2 1\n1 2\n"
-    assert list(parse_matrix_market(text).entries()) == [(0, 1, 1.0)]
+    assert by_position(parse_matrix_market(text)) == ([0], [1], [1.0])
 
 
 def test_parse_integer_field():
     text = "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 4\n2 1 -7\n"
     t = parse_matrix_market(text)
-    assert sorted(t.entries()) == [(0, 1, 4.0), (1, 0, -7.0)]
+    assert by_position(t) == ([0, 1], [1, 0], [4.0, -7.0])
 
 
 def test_parse_pattern_symmetric_combines_both_rules():
     text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n"
     t = parse_matrix_market(text)
-    assert sorted(t.entries()) == [(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)]
+    assert by_position(t) == ([0, 1, 2], [1, 0, 2], [1.0, 1.0, 1.0])
 
 
 def test_parse_zero_entry_matrix():
@@ -68,13 +74,13 @@ def test_parse_zero_entry_matrix():
 
 def test_parse_banner_is_case_insensitive():
     text = "%%MatrixMarket MATRIX Coordinate REAL General\n1 1 1\n1 1 2.5\n"
-    assert list(parse_matrix_market(text).entries()) == [(0, 0, 2.5)]
+    assert by_position(parse_matrix_market(text)) == ([0], [0], [2.5])
 
 
 def test_parse_skips_comments_and_blank_lines():
     text = ("%%MatrixMarket matrix coordinate real general\n"
             "% comment line\n\n2 2 1\n% another\n1 2 4.5\n\n")
-    assert list(parse_matrix_market(text).entries()) == [(0, 1, 4.5)]
+    assert by_position(parse_matrix_market(text)) == ([0], [1], [4.5])
 
 
 @pytest.mark.parametrize("text", [
@@ -109,6 +115,23 @@ def test_write_read_round_trip(tmp_path):
     write_matrix_market(path, t, comments=("round trip",))
     back = read_matrix_market(path)
     assert csr_from_triplets(back) == csr_from_triplets(t)
+
+
+def test_write_text_is_fixed(tmp_path):
+    # 1-based indices in entry order; each value as Python's shortest repr,
+    # which reads back to the same double (17 digits where needed).
+    t = TripletList(3, 4, [0, 0, 1, 2, 2], [1, 3, 0, 2, 3],
+                    [0.1, 1e-300, -0.0, float("inf"), 0.30000000000000004])
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, t, comments=("fixed",))
+    assert path.read_bytes() == (b"%%MatrixMarket matrix coordinate real general\n"
+                                 b"% fixed\n"
+                                 b"3 4 5\n"
+                                 b"1 2 0.1\n"
+                                 b"1 4 1e-300\n"
+                                 b"2 1 -0.0\n"
+                                 b"3 3 inf\n"
+                                 b"3 4 0.30000000000000004\n")
 
 
 # --- The vectorized parser against the line loop -----------------------------
@@ -347,9 +370,8 @@ def test_indices_beyond_32_bits_need_64_bit_width(tmp_path):
 @given(triplet_lists())
 def test_csr_matches_dense_oracle(t):
     a = csr_from_triplets(t)
-    assert np.array_equal(to_dense(a), dense_from_triplets(t))
-    # round trip through triplets
-    assert csr_from_triplets(a.to_triplets(), index_width=a.index_width) == a
+    assert np.array_equal(dense_from_csr(a.nrows, a.ncols, a.rowptr, a.colind, a.values),
+                          dense_from_triplets(t))
 
 
 # --- SpMV --------------------------------------------------------------------
@@ -427,7 +449,7 @@ def test_partition_deviation_bounded_by_max_row(row_nnz, p):
     assert np.all(np.diff(part.boundaries) >= 0)
     max_row = int(a.row_nnz().max()) if a.nrows else 0
     for k in range(len(part)):
-        lo, hi = part.bounds(k)
+        lo, hi = part.boundaries[k], part.boundaries[k + 1]
         nnz_k = int(a.rowptr[hi] - a.rowptr[lo])
         assert abs(nnz_k * p - a.nnz) <= max_row * p
 
@@ -447,28 +469,6 @@ def test_row_of_is_built_once_by_the_first_numpy_kernel_call(matrix_e, width, dt
     assert row_of.dtype == dtype and row_of.tolist() == [0, 0, 1, 3, 3, 3]
     spmv_baseline(a, np.ones(4))
     assert a.row_of is row_of
-
-
-def test_to_triplets_rows_do_not_alias_row_of(matrix_e):
-    a = matrix_e.with_index_width(64)
-    t = a.to_triplets()
-    assert t.rows.dtype == np.int64 and t.rows.tolist() == [0, 0, 1, 3, 3, 3]
-    t.rows[:] = 0
-    assert a.row_of.tolist() == [0, 0, 1, 3, 3, 3]
-
-
-# --- to_dense ----------------------------------------------------------------
-
-def test_to_dense_reference(matrix_e):
-    dense = to_dense(matrix_e)
-    assert dense.shape == (4, 4)
-    assert dense[0, 0] == 1 and dense[0, 3] == 2 and dense[3, 3] == 6
-    assert np.count_nonzero(dense) == 6
-
-
-def test_to_dense_empty():
-    a = csr_from_triplets(TripletList.from_entries(3, 3, []))
-    assert not to_dense(a).any()
 
 
 def test_run_partitions_claims_every_task_once():

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spmvtune import (VARIANTS, AdvisorConfig, CsrMatrix, RowPartition, SchedulePolicy,
-                      ScheduleKind, TripletList, bench_balance, bodies, bench_inflate,
-                      bench_noxmiss, csr_from_triplets, decode_delta, encode_delta,
+                      ScheduleKind, TripletList, bench_balance, bodies,
+                      classify_profiling, csr_from_triplets, decode_delta, encode_delta,
                       kernel_call_count, measure, partition_rows_by_nnz,
                       spmv_baseline, spmv_delta, spmv_prefetch, spmv_scheduled,
                       spmv_unrolled)
-from spmvtune.kernels import DeltaCsrMatrix
+from spmvtune.kernels import DeltaCsrMatrix, _partition_times
 
 from conftest import BACKENDS, FakeTimer, measure_script, random_triplets, use_backend
 from oracles import (expected_delta_width, four_lane_matvec, row_fits_width,
@@ -287,12 +288,17 @@ def test_kernels_match_plain_python_oracles_bitwise(row_lengths, seed, parts):
     assert spmv_unrolled(a, x, part).tolist() == four_lane_matvec(*lists)
 
 
-# --- diagnostic kernels -----------------------------------------------------------
+# --- profiler probes --------------------------------------------------------------
+
+def _noxmiss(a, x, part=None):
+    """noxmiss as ``measure`` runs it: the baseline body over zeroed indices."""
+    return _partition_times(a, np.zeros_like(a.colind), x, part, time.perf_counter)[0]
+
 
 @pytest.mark.usefixtures("kernel_backend")
 def test_noxmiss_scales_row_sums_by_x0(matrix_e):
-    assert bench_noxmiss(matrix_e, [2, 1, 1, 1]).tolist() == [6, 6, 0, 30]
-    assert not bench_noxmiss(matrix_e, [0, 5, 5, 5]).any()
+    assert _noxmiss(matrix_e, [2, 1, 1, 1]).tolist() == [6, 6, 0, 30]
+    assert not _noxmiss(matrix_e, [0, 5, 5, 5]).any()
 
 
 @pytest.mark.usefixtures("kernel_backend")
@@ -302,7 +308,7 @@ def test_noxmiss_equals_baseline_on_zeroed_colind():
     a = csr_from_triplets(t)
     x = rng.uniform(0.5, 2.0, 20)
     # every row is x[0] times each value, summed left to right
-    y = bench_noxmiss(a, x)
+    y = _noxmiss(a, x, partition_rows_by_nnz(a, 3))
     for i in range(a.nrows):
         expected = 0.0
         for v in a.values[a.rowptr[i]:a.rowptr[i + 1]].tolist():
@@ -315,17 +321,19 @@ def test_noxmiss_is_identity_on_single_column_matrix():
     a = csr_from_triplets(TripletList.from_entries(
         3, 1, [(0, 0, 2.0), (2, 0, 5.0)]))
     x = np.array([3.0])
-    assert np.array_equal(bench_noxmiss(a, x), spmv_baseline(a, x))
+    assert np.array_equal(_noxmiss(a, x), spmv_baseline(a, x))
 
 
 @pytest.mark.usefixtures("kernel_backend")
 def test_inflate_bitwise_equal_and_doubles_index_bytes(matrix_e):
-    assert bench_inflate(matrix_e, [1, 1, 1, 1]).tolist() == [3, 3, 0, 15]
+    # inflate, measure's bandwidth probe, is the baseline on a 64-bit copy
+    wide = matrix_e.with_index_width(64)
+    assert spmv_baseline(wide, [1, 1, 1, 1]).tolist() == [3, 3, 0, 15]
     assert matrix_e.index_bytes == 44
-    assert matrix_e.with_index_width(64).index_bytes == 88
+    assert wide.index_bytes == 88
     rng = np.random.default_rng(43)
     a, x = _random_case(rng)
-    assert np.array_equal(bench_inflate(a, x), spmv_baseline(a, x))
+    assert np.array_equal(spmv_baseline(a.with_index_width(64), x), spmv_baseline(a, x))
 
 
 @pytest.mark.usefixtures("kernel_backend")
@@ -362,7 +370,7 @@ def test_all_variants_vs_baseline_bulk():
         y = spmv_baseline(a, x, part)
         assert np.array_equal(spmv_delta(encode_delta(a), x, part), y)
         assert np.array_equal(spmv_prefetch(a, x, part, 8), y)
-        assert np.array_equal(bench_inflate(a, x, part), y)
+        assert np.array_equal(spmv_baseline(a.with_index_width(64), x, part), y)
         assert np.array_equal(
             spmv_scheduled(a, x, SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED, 3), 2), y)
         assert np.allclose(spmv_unrolled(a, x, part), y, rtol=1e-10, atol=0)
@@ -383,8 +391,8 @@ KERNEL_ENTRY_POINTS = {
     "scheduled-dynamic": (lambda a, x, part: spmv_scheduled(
         a, x, SchedulePolicy(ScheduleKind.DYNAMIC_CHUNKED), workers=2), False),
     "unrolled": (spmv_unrolled, True),
-    "noxmiss": (bench_noxmiss, True),
-    "inflate": (bench_inflate, True),
+    "noxmiss": (_noxmiss, True),
+    "inflate": (lambda a, x, part: spmv_baseline(a.with_index_width(64), x, part), True),
     "balance": (_balance, True),
     # What ``bench`` runs: each row of the variant table, prepared for two
     # workers.  The dynamic row takes no partition.
@@ -421,12 +429,17 @@ def test_kernel_entry_point_on_zero_rows(name):
 
 
 @pytest.mark.usefixtures("kernel_backend")
-@pytest.mark.parametrize("reps,warmup", [(1, 0), (2, 3)])
+@pytest.mark.parametrize("reps,warmup", [(1, 0), (2, 3), (3, 1)])
 def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
     timer = FakeTimer(measure_script(0.01, 0.01, 0.01, [0.01, 0.01], reps, 2))
     before = kernel_call_count()
     measure(matrix_e, np.ones(4), workers=2, reps=reps, warmup=warmup,
             timer=timer)
+    assert kernel_call_count() - before == 4 * (reps + warmup)
+    # The same count through classify_profiling on the real clock: perfbench's
+    # profile-advise fails any operation that makes a different number of calls.
+    before = kernel_call_count()
+    classify_profiling(matrix_e, workers=2, reps=reps, warmup=warmup)
     assert kernel_call_count() - before == 4 * (reps + warmup)
 
 
