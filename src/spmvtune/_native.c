@@ -1,6 +1,7 @@
-/* Native kernels of spmvtune: every partition of one SpMV in one call.
+/* Native kernels of spmvtune: every partition of one SpMV in one call, and
+ * the structural feature pass.
  *
- * Each exported function fills y = A x over the rows of nparts partitions,
+ * Each spmv_ function fills y = A x over the rows of nparts partitions,
  * partition p owning rows bounds[p]..bounds[p + 1].  The calling thread and
  * up to threads - 1 threads it starts claim partitions from one shared
  * counter until none is left, and every started thread is joined before
@@ -202,6 +203,32 @@ void spmv_delta##CW##_##W(const I *rowptr, const uint8_t *coded,              \
     fork_join(&job, bounds, nparts, threads);                                 \
 }
 
+/* The per-row integers of features.extract_features in one pass over the
+ * indices, on the calling thread: span[i] is row i's last column less its
+ * first and groups[i] its runs of consecutive columns, both 0 on an empty
+ * row.  Returns the number of in-row column steps wider than line_values. */
+#define STRUCTURE_PASS(I, W)                                                  \
+int64_t row_structure_##W(const I *rowptr, const I *colind, int64_t nrows,    \
+                          int64_t line_values, int64_t *span, int64_t *groups)\
+{                                                                             \
+    int64_t misses = 0;                                                       \
+    for (int64_t i = 0; i < nrows; i++) {                                     \
+        int64_t start = rowptr[i], end = rowptr[i + 1], width = 0, runs = 0;  \
+        if (start < end) {                                                    \
+            width = (int64_t)colind[end - 1] - colind[start];                 \
+            runs = 1;                                                         \
+            for (int64_t j = start + 1; j < end; j++) {                       \
+                int64_t step = (int64_t)colind[j] - colind[j - 1];            \
+                runs += step != 1;                                            \
+                misses += step > line_values;                                 \
+            }                                                                 \
+        }                                                                     \
+        span[i] = width;                                                      \
+        groups[i] = runs;                                                     \
+    }                                                                         \
+    return misses;                                                            \
+}
+
 ROWS_BODY(int32_t, i32)
 ROWS_BODY(int64_t, i64)
 PREFETCH_BODY(int32_t, i32)
@@ -212,3 +239,5 @@ DELTA_BODY(uint8_t, 8, int32_t, i32)
 DELTA_BODY(uint16_t, 16, int32_t, i32)
 DELTA_BODY(uint8_t, 8, int64_t, i64)
 DELTA_BODY(uint16_t, 16, int64_t, i64)
+STRUCTURE_PASS(int32_t, i32)
+STRUCTURE_PASS(int64_t, i64)

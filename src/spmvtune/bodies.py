@@ -1,4 +1,5 @@
-"""The partition bodies of every kernel, and the one choice of backend.
+"""The partition bodies of every kernel, the structural feature pass, and
+the one choice of backend.
 
 ``partition_body`` returns ``run(x, y, bounds, workers)``, which fills
 ``y = A x`` over the partitions of ``bounds`` (partition p owns rows
@@ -16,12 +17,15 @@ bit for bit:
 * numpy: vectorized bodies over ``a.row_of``, the row of each nonzero,
   run by ``run_partitions`` on a shared thread pool.
 
-The first kernel call, never the import, builds the library with ``$CC``
-(default ``cc``) and ``FLAGS`` into ``$XDG_CACHE_HOME/spmvtune/`` (default
-``~/.cache/spmvtune/``), under a name keyed by the sha256 of the source and
-the compile command, and loads it.  Without a compiler, when the compile
-fails or when the cache is not writable, the numpy bodies run, and
-``backend()`` says why.
+``row_structure``, the per-row integers of the structural features, has a
+native and a numpy form too, equal on both; it runs no kernel.
+
+The first kernel call or feature pass, never the import, builds the
+library with ``$CC`` (default ``cc``) and ``FLAGS`` into
+``$XDG_CACHE_HOME/spmvtune/`` (default ``~/.cache/spmvtune/``), under a name
+keyed by the sha256 of the source and the compile command, and loads it.
+Without a compiler, when the compile fails or when the cache is not
+writable, the numpy bodies run, and ``backend()`` says why.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
                                (f"spmv_delta16_{width}", [pointer] * 9)):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes + parts, None
+        fn = getattr(lib, f"row_structure_{width}")
+        fn.argtypes, fn.restype = [pointer, pointer, count, count, pointer, pointer], count
     return lib, "native"
 
 
@@ -204,6 +210,23 @@ def _delta_rows(d, x, y, lo, hi) -> None:
     _accumulate_rows(d, d.decode_rows(lo, hi), x, y, lo, hi, first=d.rowptr[lo])
 
 
+def _numpy_row_structure(a, line_values: int):
+    span = np.zeros(a.nrows, dtype=np.int64)
+    groups = np.zeros(a.nrows, dtype=np.int64)
+    if not a.nnz:
+        return span, groups, 0
+    # The run and miss rules never look at a row's first gap, which holds
+    # its absolute column.
+    gap, starts = a.col_gaps()
+    nonempty = np.diff(a.rowptr) > 0
+    ends = a.rowptr[1:][nonempty].astype(np.int64)
+    span[nonempty] = a.colind[ends - 1] - a.colind[starts]
+    first = np.zeros(a.nnz, dtype=bool)
+    first[starts] = True
+    groups[nonempty] = np.add.reduceat((first | (gap != 1)).astype(np.int64), starts)
+    return span, groups, int((~first & (gap > line_values)).sum())
+
+
 _NUMPY = {"rows": _accumulate_rows, "prefetch": _prefetch_rows,
           "unrolled": _unrolled_rows, "delta": _delta_rows}
 
@@ -231,8 +254,12 @@ def partition_body(kind: str, a, *args):
 
     ``run`` fills ``y`` over the partitions of the int64 array ``bounds`` on
     ``min(workers, partitions, MAX_THREADS)`` threads, ``workers`` defaulting
-    to one per partition.  The one place a backend is chosen.  Only the numpy
-    bodies read ``a.row_of``; it is built here, not by racing worker threads.
+    to one per partition.  ``run.each(x, y, bounds)`` returns one
+    zero-argument call per partition that fills that partition's rows alone
+    on the calling thread; the pointers and bounds are read there, once, so
+    timing one of those calls times the body and nothing else.  The one
+    place a backend is chosen.  Only the numpy bodies read ``a.row_of``; it
+    is built here, not by racing worker threads.
     """
     lib = library()
     if lib is None:
@@ -244,6 +271,9 @@ def partition_body(kind: str, a, *args):
                            lambda p: body(x, y, int(bounds[p]), int(bounds[p + 1])),
                            workers)
 
+        run.each = lambda x, y, bounds: [
+            partial(body, x, y, int(bounds[p]), int(bounds[p + 1]))
+            for p in range(len(bounds) - 1)]
         return run
     stem, arrays, ints = _native_arguments(kind, a, *args)
     fn = getattr(lib, f"spmv_{stem}_i{8 * a.rowptr.itemsize}")
@@ -256,5 +286,33 @@ def partition_body(kind: str, a, *args):
         fn(*pointers, x.ctypes.data, y.ctypes.data, *ints, bounds.ctypes.data, n,
            n if workers is None else min(workers, n))
 
+    def each(x, y, bounds):
+        head = (*pointers, x.ctypes.data, y.ctypes.data, *ints)
+        at = bounds.ctypes.data  # int64: partition p's bounds start 8 p bytes in
+        return [partial(fn, *head, at + 8 * p, 1, 1) for p in range(len(bounds) - 1)]
+
+    run.each = each
     run.arrays = arrays  # alive while run is: noxmiss's are temporary
     return run
+
+
+def row_structure(a, line_values: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The per-row integers of the structural features, from one pass over
+    ``a``'s indices: ``(span, groups, misses)``.
+
+    ``span[i]`` is row i's last column less its first and ``groups[i]`` its
+    runs of consecutive columns, both int64 and 0 on an empty row; ``misses``
+    counts the in-row column steps wider than ``line_values``.  Native when
+    the library loads and numpy otherwise, equal on both.  Runs no kernel.
+    """
+    lib = library()
+    if lib is None:
+        return _numpy_row_structure(a, line_values)
+    span = np.empty(a.nrows, dtype=np.int64)
+    groups = np.empty(a.nrows, dtype=np.int64)
+    fn = getattr(lib, f"row_structure_i{8 * a.rowptr.itemsize}")
+    # No step reaches ncols, so the cap changes no count; it keeps a huge
+    # ``line_values`` from wrapping in ctypes.
+    misses = fn(a.rowptr.ctypes.data, a.colind.ctypes.data, a.nrows,
+                min(line_values, a.ncols), span.ctypes.data, groups.ctypes.data)
+    return span, groups, misses

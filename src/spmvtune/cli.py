@@ -410,6 +410,7 @@ def _cmd_overhead(args, timer) -> int:
     x = _spmv_input(a, args.seed)
     part = partition_rows_by_nnz(a, cfg.workers)
     model = _load_feature_model(args)
+    backend()  # builds or loads the library here, not in the timed classification
 
     t0 = timer()
     cls, _ = _classify(a, x, cfg, model, timer)

@@ -154,8 +154,21 @@ class CsrMatrix(_RowOf):
         return gap, starts
 
     def with_index_width(self, width: int) -> "CsrMatrix":
-        return CsrMatrix(self.nrows, self.ncols, self.rowptr, self.colind,
-                         self.values, index_width=width)
+        """This matrix at ``width``-bit indices.
+
+        Widening only casts ``rowptr`` and ``colind``: this matrix passed its
+        checks, and a wider dtype holds the same indices.  Narrowing checks
+        the copy in full.
+        """
+        if width != 64:
+            return CsrMatrix(self.nrows, self.ncols, self.rowptr, self.colind,
+                             self.values, index_width=width)
+        wide = object.__new__(CsrMatrix)  # skips __post_init__'s checks
+        wide.__dict__.update(nrows=self.nrows, ncols=self.ncols,
+                             rowptr=self.rowptr.astype(np.int64, copy=False),
+                             colind=self.colind.astype(np.int64, copy=False),
+                             values=self.values, index_width=64)
+        return wide
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsrMatrix):

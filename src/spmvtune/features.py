@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import bodies
 from .csr import CsrMatrix
 
 # Matrix values are float64: CsrMatrix stores them as such.
@@ -103,29 +104,12 @@ def extract_features(a: CsrMatrix, cfg: CacheConfig) -> FeatureVector:
     nonempty = counts > 0
     nnz = a.nnz
 
-    bw = np.zeros(n, dtype=np.float64)
-    disp = np.zeros(n, dtype=np.float64)
-    clust = np.zeros(n, dtype=np.float64)
-    misses_total = 0
-
-    if nnz:
-        # The group/miss rules below never look at a row's first gap, which
-        # holds its absolute column.
-        gap, starts = a.col_gaps()
-        ends = a.rowptr[1:][nonempty].astype(np.int64)
-        span = (a.colind[ends - 1] - a.colind[starts]).astype(np.float64)
-        bw[nonempty] = span
-        disp[nonempty] = counts[nonempty] / (span + 1.0)
-
-        first_elem = np.zeros(nnz, dtype=bool)
-        first_elem[starts] = True
-
-        group_start = first_elem | (gap != 1)
-        ngroups = np.add.reduceat(group_start.astype(np.int64), starts)
-        clust[nonempty] = ngroups / counts[nonempty]
-
-        miss_elem = ~first_elem & (gap > cfg.line_values)
-        misses_total = int(miss_elem.sum())
+    # The per-row integers come from one pass over the indices; the means
+    # and deviations below stay in numpy on either backend.
+    span, groups, misses_total = bodies.row_structure(a, cfg.line_values)
+    bw = span.astype(np.float64)
+    disp = counts / (bw + 1.0)  # 0 / 1 on an empty row
+    clust = np.divide(groups, counts, out=np.zeros(n), where=nonempty)
 
     counts_f = counts.astype(np.float64)
     ws = working_set_bytes(a, cfg)

@@ -218,20 +218,21 @@ def spmv_unrolled(a: CsrMatrix, x, part: RowPartition | None = None) -> np.ndarr
     return _row_kernel(a, x, part, partition_body("unrolled", a))
 
 
-def _partition_times(a: CsrMatrix, colind, x, part: RowPartition, timer):
-    """The baseline body over ``colind``, timing each partition alone.
+def _partition_times(a: CsrMatrix, body, x, part: RowPartition, timer):
+    """``body``, a prepared ``partition_body`` over ``a``, timing each
+    partition alone.
 
     Returns ``(y, durations)`` where ``durations[p]`` is partition p's own
     time.  The partitions run one after another on the calling thread, so
-    no partition's time includes another's work.
+    no partition's time includes another's work, and each clock region
+    holds only that partition's call from ``body.each``.
     """
     durations = []
-    rows = partition_body("rows", a, colind)
 
     def run(x, y, bounds, workers):
-        for p in range(len(bounds) - 1):
+        for call in body.each(x, y, bounds):
             t0 = timer()
-            rows(x, y, bounds[p:p + 2], 1)
+            call()
             durations.append(timer() - t0)
 
     return _row_kernel(a, x, part, run), durations
@@ -244,7 +245,8 @@ def bench_balance(a: CsrMatrix, x, part: RowPartition, timer=time.perf_counter):
     time, measured alone by ``_partition_times``, and ``mean`` is their
     arithmetic mean: the time every worker would take under perfect balance.
     """
-    y, durations = _partition_times(a, a.colind, x, part, timer)
+    y, durations = _partition_times(a, partition_body("rows", a, a.colind), x, part,
+                                    timer)
     return y, durations, fmean(durations)
 
 

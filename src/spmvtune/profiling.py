@@ -21,6 +21,7 @@ from statistics import fmean, median
 
 import numpy as np
 
+from . import bodies
 from .csr import CsrMatrix, partition_rows_by_nnz
 from .kernels import _partition_times
 from .taxonomy import MatrixClass
@@ -134,20 +135,23 @@ def measure(a: CsrMatrix, x, workers: int = 1, reps: int = 20, warmup: int = 5,
     partition time, the span under perfect balance.  All four samples thus
     time the partition body and nothing else, and ``s_imb`` is a ratio of
     per-worker times.  Kernel setup work (index zeroing, index widening,
-    partitioning, choosing the body) happens outside the timed regions.
-    Kernels are timed in a fixed order: baseline, noxmiss, inflate, balance.
+    partitioning, preparing each probe's body once; balance reuses the
+    baseline's) happens outside the timed regions.  Kernels are timed in a
+    fixed order: baseline, noxmiss, inflate, balance.
     """
     part = partition_rows_by_nnz(a, workers)
-    zeroed = np.zeros_like(a.colind)
     wide = a.with_index_width(64)
+    baseline = bodies.partition_body("rows", a, a.colind)
+    noxmiss = bodies.partition_body("rows", a, np.zeros_like(a.colind))
+    inflate = bodies.partition_body("rows", wide, wide.colind)
 
-    def timed(m, colind, span=max) -> float:
+    def timed(m, body, span=max) -> float:
         return median_time(
-            lambda clock: span(_partition_times(m, colind, x, part, clock)[1]),
+            lambda clock: span(_partition_times(m, body, x, part, clock)[1]),
             reps, warmup, timer, self_timed=True)
 
-    return BenchmarkReport(timed(a, a.colind), timed(a, zeroed),
-                           timed(wide, wide.colind), timed(a, a.colind, fmean))
+    return BenchmarkReport(timed(a, baseline), timed(a, noxmiss),
+                           timed(wide, inflate), timed(a, baseline, fmean))
 
 
 def classify_profiling(a: CsrMatrix, x=None, *, workers: int = 1,

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from spmvtune import (AdvisorConfig, CacheConfig, FEATURE_NAMES, MatrixClass,
                       ThresholdConfig, TrainedModel, extract_features,
                       classify_profiling, kernel_call_count, load_matrix,
                       save_model)
-from spmvtune import cli, kernels
+from spmvtune import bodies, cli, kernels
 from spmvtune.cli import main
 from spmvtune.ml import DecisionTree, TreeLeaf
 
@@ -530,6 +531,26 @@ def test_overhead_scripted_ratio(tmp_path, capsys):
     assert "t_classification 0.32\n" in out
     assert "t_spmv 0.02\n" in out
     assert "ratio 16\n" in out
+
+
+@pytest.mark.parametrize("mode", ["features", "profiling"])
+def test_overhead_loads_the_backend_before_its_clock(tmp_path, capsys, monkeypatch, mode):
+    # Building or loading the library is paid once per process, not by the
+    # classification that happens to run first.
+    matrix = generate(tmp_path, "banded", 16, 3, 0)
+    monkeypatch.setattr(bodies, "_state", None)  # as in a fresh process
+    reads = []
+
+    def timer():
+        if not reads:
+            assert bodies._state is not None, "the backend loads inside the clock"
+        reads.append(time.perf_counter())
+        return reads[-1]
+
+    model = ["--model", stub_model_path(tmp_path)] if mode == "features" else []
+    assert run(["overhead", "--matrix", matrix, "--mode", mode, *model, *FAST],
+               timer=timer) == 0
+    assert f"mode {mode}\n" in capsys.readouterr().out
 
 
 def test_overhead_zero_spmv_time_is_data_error(tmp_path, capsys):

@@ -365,6 +365,20 @@ def test_indices_beyond_32_bits_need_64_bit_width(tmp_path):
     assert load_matrix(path, index_width=64).colind.tolist() == [4294967301, 2]
     with pytest.raises(ValueError, match="needs 64-bit indices"):
         CsrMatrix(1, 2, [0, 2**31], [], [])  # nnz beyond 32 bits
+    with pytest.raises(ValueError, match="needs 64-bit indices"):
+        load_matrix(path, index_width=64).with_index_width(32)
+
+
+@given(triplet_lists())
+def test_widened_copy_equals_a_checked_64_bit_matrix(t):
+    a = csr_from_triplets(t)
+    a.row_of  # cached at int32 on the source
+    wide = a.with_index_width(64)
+    assert wide == CsrMatrix(a.nrows, a.ncols, a.rowptr, a.colind, a.values,
+                             index_width=64)
+    assert wide.rowptr.dtype == wide.colind.dtype == np.int64
+    assert wide.row_of.dtype == np.int64 and wide.row_of is not a.row_of
+    assert wide.row_of.tolist() == a.row_of.tolist()
 
 
 @given(triplet_lists())

@@ -1,17 +1,20 @@
 import csv
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spmvtune import (AdvisorConfig, CacheConfig, CsrMatrix, FEATURE_NAMES,
                       FEATURE_SUBSETS, FeatureVector, TripletList,
                       csr_from_triplets, extract_features, load_matrix,
                       resolve_subset, select_features, working_set_bytes)
+from spmvtune import bodies
 from spmvtune.cli import main
 
-from conftest import random_triplets
+from conftest import BACKENDS, random_triplets, use_backend
 from oracles import dense_from_triplets, feature_oracle
 
 BIG_LLC = CacheConfig(llc_bytes=1 << 30, cacheline_bytes=64)
@@ -138,6 +141,41 @@ def test_features_invariant_under_row_permutation():
     fv_a = select_features(extract_features(a, BIG_LLC), FEATURE_NAMES)
     fv_b = select_features(extract_features(shuffled, BIG_LLC), FEATURE_NAMES)
     assert np.allclose(fv_a, fv_b, rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def stepped_rows(draw):
+    """Rows as ``None`` (empty) or a first column and its in-row column
+    steps: one-element rows, steps of 1, and steps of one cache line of
+    values and one more, at 64- and 128-byte lines (8 and 16 values)."""
+    steps = st.lists(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 40]), max_size=8)
+    return draw(st.lists(st.none() | st.tuples(st.integers(0, 40), steps),
+                         min_size=1, max_size=12))
+
+
+@given(stepped_rows(), st.sampled_from([32, 64]))
+def test_feature_pass_is_equal_on_both_backends(rows, width):
+    cols = [[] if r is None else list(itertools.accumulate(r[1], initial=r[0]))
+            for r in rows]
+    rowptr = [0, *itertools.accumulate(len(c) for c in cols)]
+    colind = [c for row in cols for c in row]
+    a = CsrMatrix(len(rows), max(colind, default=0) + 1, rowptr, colind,
+                  np.ones(len(colind)), index_width=width)
+    for line in (64, 128):
+        cfg = CacheConfig(llc_bytes=1 << 20, cacheline_bytes=line)
+        steps = [[] if r is None else r[1] for r in rows]
+        expected = ([c[-1] - c[0] if c else 0 for c in cols],
+                    [len(c) and 1 + sum(s != 1 for s in row) for c, row in zip(cols, steps)],
+                    sum(s > cfg.line_values for row in steps for s in row))
+        got = {}
+        for name in BACKENDS:
+            with pytest.MonkeyPatch.context() as mp:
+                use_backend(mp, name)
+                span, groups, misses = bodies.row_structure(a, cfg.line_values)
+                assert span.dtype == groups.dtype == np.int64
+                assert (span.tolist(), groups.tolist(), misses) == expected, name
+                got[name] = extract_features(a, cfg)
+        assert got["native"] == got["numpy"]
 
 
 def test_extraction_work_scales_with_n_plus_nnz_not_area():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spmvtune import (VARIANTS, AdvisorConfig, CsrMatrix, RowPartition, SchedulePolicy,
-                      ScheduleKind, TripletList, bench_balance, bodies,
-                      classify_profiling, csr_from_triplets, decode_delta, encode_delta,
+from spmvtune import (VARIANTS, AdvisorConfig, CacheConfig, CsrMatrix, FeatureVector,
+                      RowPartition, SchedulePolicy, ScheduleKind, TripletList,
+                      bench_balance, bodies, classify_profiling, csr_from_triplets,
+                      decode_delta, encode_delta, extract_features,
                       kernel_call_count, measure, partition_rows_by_nnz,
                       spmv_baseline, spmv_delta, spmv_prefetch, spmv_scheduled,
                       spmv_unrolled)
@@ -292,7 +293,8 @@ def test_kernels_match_plain_python_oracles_bitwise(row_lengths, seed, parts):
 
 def _noxmiss(a, x, part=None):
     """noxmiss as ``measure`` runs it: the baseline body over zeroed indices."""
-    return _partition_times(a, np.zeros_like(a.colind), x, part, time.perf_counter)[0]
+    body = bodies.partition_body("rows", a, np.zeros_like(a.colind))
+    return _partition_times(a, body, x, part, time.perf_counter)[0]
 
 
 @pytest.mark.usefixtures("kernel_backend")
@@ -430,12 +432,20 @@ def test_kernel_entry_point_on_zero_rows(name):
 
 @pytest.mark.usefixtures("kernel_backend")
 @pytest.mark.parametrize("reps,warmup", [(1, 0), (2, 3), (3, 1)])
-def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup):
+def test_measure_runs_four_kernels_per_rep_and_warmup(matrix_e, reps, warmup,
+                                                     monkeypatch):
     timer = FakeTimer(measure_script(0.01, 0.01, 0.01, [0.01, 0.01], reps, 2))
+    prepared = []
+    real = bodies.partition_body
+    monkeypatch.setattr(bodies, "partition_body",
+                        lambda *args: prepared.append(args[0]) or real(*args))
     before = kernel_call_count()
     measure(matrix_e, np.ones(4), workers=2, reps=reps, warmup=warmup,
             timer=timer)
     assert kernel_call_count() - before == 4 * (reps + warmup)
+    # baseline, noxmiss and inflate are each prepared once; balance reuses
+    # the baseline's body.
+    assert prepared == ["rows"] * 3
     # The same count through classify_profiling on the real clock: perfbench's
     # profile-advise fails any operation that makes a different number of calls.
     before = kernel_call_count()
@@ -571,8 +581,10 @@ def test_fallback_matches_the_oracles(tmp_path, case):
     code = """
 import json
 import numpy as np
-from spmvtune import (TripletList, bodies, csr_from_triplets, encode_delta,
-                     partition_rows_by_nnz, spmv_baseline, spmv_delta, spmv_unrolled)
+from dataclasses import astuple
+from spmvtune import (CacheConfig, TripletList, bodies, csr_from_triplets, encode_delta,
+                     extract_features, partition_rows_by_nnz, spmv_baseline,
+                     spmv_delta, spmv_unrolled)
 from oracles import four_lane_matvec, sequential_matvec
 
 rng = np.random.default_rng(5)
@@ -587,6 +599,8 @@ print(json.dumps({
     "baseline": spmv_baseline(a, x, part).tolist() == sequential_matvec(*lists),
     "delta": spmv_delta(encode_delta(a), x, part).tolist() == sequential_matvec(*lists),
     "unrolled": spmv_unrolled(a, x, part).tolist() == four_lane_matvec(*lists),
+    "rowptr": a.rowptr.tolist(), "colind": a.colind.tolist(),
+    "features": astuple(extract_features(a, CacheConfig(llc_bytes=1 << 20))),
 }))
 """
     cache = tmp_path / "cache"
@@ -604,6 +618,10 @@ print(json.dumps({
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result.pop("backend") == f"numpy ({reason})"
+    # The fallback's features equal this process's, native when it loads.
+    a = CsrMatrix(12, 40, result.pop("rowptr"), result.pop("colind"), np.ones(66))
+    assert (FeatureVector(*result.pop("features"))
+            == extract_features(a, CacheConfig(llc_bytes=1 << 20)))
     assert result == {"baseline": True, "delta": True, "unrolled": True}
     if cache.is_dir():  # a failed build leaves no temporary file behind
         assert list((cache / "spmvtune").iterdir()) == []
