@@ -1,11 +1,15 @@
 /* Native kernels of spmvtune: every partition of one SpMV in one call, and
  * the structural feature pass.
  *
- * Each spmv_ function fills y = A x over the rows of nparts partitions,
- * partition p owning rows bounds[p]..bounds[p + 1].  The calling thread and
- * up to threads - 1 threads it starts claim partitions from one shared
- * counter until none is left, and every started thread is joined before
- * the function returns (fork-join), so no thread outlives a call.  At most
+ * Every kernel has the one signature of EXPORT, spmv_<body>_<width>(in, x,
+ * y, distance, bounds, nparts, threads), and fills y = A x over the rows of
+ * nparts partitions, partition p owning rows bounds[p]..bounds[p + 1].  in
+ * is the body's table of arrays: bodies._native_arguments lists them and
+ * the body reads them, in the same order, and nothing else names it.  Only
+ * the prefetch body reads distance.  The calling thread and up to
+ * threads - 1 threads it starts claim partitions from one shared counter
+ * until none is left, and every started thread is joined before the
+ * function returns (fork-join), so no thread outlives a call.  At most
  * min(threads, nparts, MAX_THREADS) threads run; a thread that cannot be
  * started leaves its share to the others, so a call never fails.
  *
@@ -24,14 +28,12 @@
 /* The most threads one call runs: bodies.MAX_THREADS, the numpy pool's size. */
 #define MAX_THREADS 32
 
-/* One kernel call: its arrays (typed by each body), the partitions and the
+/* One kernel call: its body, the body's arrays, the partitions and the
  * claim counter. */
 struct job {
     void (*rows)(const struct job *, int64_t lo, int64_t hi);
-    const void *rowptr, *colind, *deltas, *abs_colind;
-    const uint8_t *coded;
-    const int64_t *delta_ofs, *abs_ofs;
-    const double *values, *x;
+    const void *const *in;
+    const double *x;
     double *y;
     int64_t distance;
     const int64_t *bounds;
@@ -51,16 +53,12 @@ static void *claim(void *arg)
  * calling one included, and returns once all of them are done.  The first
  * pthread_create that fails ends the starting: the threads already running
  * claim its share. */
-static void fork_join(struct job *job, const int64_t *bounds, int64_t nparts,
-                      int64_t threads)
+static void fork_join(struct job *job, int64_t threads)
 {
     pthread_t started[MAX_THREADS - 1];
     int64_t n = 0;
-    job->bounds = bounds;
-    job->nparts = nparts;
-    job->next = 0;
-    if (threads > nparts)
-        threads = nparts;
+    if (threads > job->nparts)
+        threads = job->nparts;
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
     while (n < threads - 1 && pthread_create(&started[n], NULL, claim, job) == 0)
@@ -70,15 +68,25 @@ static void fork_join(struct job *job, const int64_t *bounds, int64_t nparts,
         pthread_join(started[--n], NULL);
 }
 
-#define PARTS const int64_t *bounds, int64_t nparts, int64_t threads
+/* The exported kernel spmv_<body> that runs body over every partition. */
+#define EXPORT(body)                                                          \
+void spmv_##body(const void *const *in, const double *x, double *y,           \
+                 int64_t distance, const int64_t *bounds, int64_t nparts,     \
+                 int64_t threads)                                             \
+{                                                                             \
+    struct job job = {.rows = body, .in = in, .x = x, .y = y,                 \
+                      .distance = distance, .bounds = bounds,                 \
+                      .nparts = nparts};                                      \
+    fork_join(&job, threads);                                                 \
+}
 
 /* The baseline row sum; also the body of noxmiss, inflate, the scheduled
  * kernels and the balance diagnostic. */
 #define ROWS_BODY(I, W)                                                       \
 static void rows_##W(const struct job *k, int64_t lo, int64_t hi)            \
 {                                                                             \
-    const I *rowptr = k->rowptr, *colind = k->colind;                         \
-    const double *values = k->values, *x = k->x;                              \
+    const I *rowptr = k->in[0], *colind = k->in[1];                           \
+    const double *values = k->in[2], *x = k->x;                               \
     double *y = k->y;                                                         \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t end = rowptr[i + 1];                                          \
@@ -88,22 +96,15 @@ static void rows_##W(const struct job *k, int64_t lo, int64_t hi)            \
         y[i] = acc;                                                           \
     }                                                                         \
 }                                                                             \
-                                                                              \
-void spmv_rows_##W(const I *rowptr, const I *colind, const double *values,    \
-                   const double *x, double *y, PARTS)                         \
-{                                                                             \
-    struct job job = {rows_##W, .rowptr = rowptr, .colind = colind,           \
-                      .values = values, .x = x, .y = y};                      \
-    fork_join(&job, bounds, nparts, threads);                                 \
-}
+EXPORT(rows_##W)
 
 /* The row sum, hinting x[colind[j + distance]] while j + distance is inside
  * the partition.  distance >= 1; stop cannot overflow since rowptr[hi] >= 0. */
 #define PREFETCH_BODY(I, W)                                                   \
 static void prefetch_##W(const struct job *k, int64_t lo, int64_t hi)        \
 {                                                                             \
-    const I *rowptr = k->rowptr, *colind = k->colind;                         \
-    const double *values = k->values, *x = k->x;                              \
+    const I *rowptr = k->in[0], *colind = k->in[1];                           \
+    const double *values = k->in[2], *x = k->x;                               \
     double *y = k->y;                                                         \
     int64_t distance = k->distance, stop = (int64_t)rowptr[hi] - distance;    \
     for (int64_t i = lo; i < hi; i++) {                                       \
@@ -117,22 +118,15 @@ static void prefetch_##W(const struct job *k, int64_t lo, int64_t hi)        \
         y[i] = acc;                                                           \
     }                                                                         \
 }                                                                             \
-                                                                              \
-void spmv_prefetch_##W(const I *rowptr, const I *colind, const double *values,\
-                       const double *x, double *y, int64_t distance, PARTS)   \
-{                                                                             \
-    struct job job = {prefetch_##W, .rowptr = rowptr, .colind = colind,       \
-                      .values = values, .x = x, .y = y, .distance = distance};\
-    fork_join(&job, bounds, nparts, threads);                                 \
-}
+EXPORT(prefetch_##W)
 
 /* Four accumulators over each row's first nnz - nnz % 4 products, then a
  * sequential tail, combined as ((s0 + s1) + (s2 + s3)) + tail. */
 #define UNROLLED_BODY(I, W)                                                   \
 static void unrolled_##W(const struct job *k, int64_t lo, int64_t hi)        \
 {                                                                             \
-    const I *rowptr = k->rowptr, *colind = k->colind;                         \
-    const double *values = k->values, *x = k->x;                              \
+    const I *rowptr = k->in[0], *colind = k->in[1];                           \
+    const double *values = k->in[2], *x = k->x;                               \
     double *y = k->y;                                                         \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t j = rowptr[i], end = rowptr[i + 1];                           \
@@ -149,14 +143,7 @@ static void unrolled_##W(const struct job *k, int64_t lo, int64_t hi)        \
         y[i] = ((s0 + s1) + (s2 + s3)) + tail;                                \
     }                                                                         \
 }                                                                             \
-                                                                              \
-void spmv_unrolled_##W(const I *rowptr, const I *colind, const double *values,\
-                       const double *x, double *y, PARTS)                     \
-{                                                                             \
-    struct job job = {unrolled_##W, .rowptr = rowptr, .colind = colind,       \
-                      .values = values, .x = x, .y = y};                      \
-    fork_join(&job, bounds, nparts, threads);                                 \
-}
+EXPORT(unrolled_##W)
 
 /* CSR-DU decode-and-multiply over C-typed codes: a coded row's columns are
  * the running sum of its codes; any other row reads its absolute columns.
@@ -165,11 +152,11 @@ void spmv_unrolled_##W(const I *rowptr, const I *colind, const double *values,\
 #define DELTA_BODY(C, CW, I, W)                                               \
 static void delta##CW##_##W(const struct job *k, int64_t lo, int64_t hi)     \
 {                                                                             \
-    const I *rowptr = k->rowptr, *abs_colind = k->abs_colind;                 \
-    const C *deltas = k->deltas;                                              \
-    const uint8_t *coded = k->coded;                                          \
-    const int64_t *delta_ofs = k->delta_ofs, *abs_ofs = k->abs_ofs;           \
-    const double *values = k->values, *x = k->x;                              \
+    const I *rowptr = k->in[0], *abs_colind = k->in[3];                       \
+    const uint8_t *coded = k->in[1];                                          \
+    const C *deltas = k->in[2];                                               \
+    const int64_t *delta_ofs = k->in[4], *abs_ofs = k->in[5];                 \
+    const double *values = k->in[6], *x = k->x;                               \
     double *y = k->y;                                                         \
     for (int64_t i = lo; i < hi; i++) {                                       \
         int64_t j = rowptr[i], end = rowptr[i + 1];                           \
@@ -189,19 +176,7 @@ static void delta##CW##_##W(const struct job *k, int64_t lo, int64_t hi)     \
         y[i] = acc;                                                           \
     }                                                                         \
 }                                                                             \
-                                                                              \
-void spmv_delta##CW##_##W(const I *rowptr, const uint8_t *coded,              \
-                          const C *deltas, const I *abs_colind,               \
-                          const int64_t *delta_ofs, const int64_t *abs_ofs,   \
-                          const double *values, const double *x, double *y,   \
-                          PARTS)                                              \
-{                                                                             \
-    struct job job = {delta##CW##_##W, .rowptr = rowptr, .coded = coded,      \
-                      .deltas = deltas, .abs_colind = abs_colind,             \
-                      .delta_ofs = delta_ofs, .abs_ofs = abs_ofs,             \
-                      .values = values, .x = x, .y = y};                      \
-    fork_join(&job, bounds, nparts, threads);                                 \
-}
+EXPORT(delta##CW##_##W)
 
 /* The per-row integers of features.extract_features in one pass over the
  * indices, on the calling thread: span[i] is row i's last column less its

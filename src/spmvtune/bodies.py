@@ -10,10 +10,11 @@ four kinds of body: ``rows`` (the left-to-right row sum), ``prefetch``,
 exists on two backends that sum every row in the same order, so they agree
 bit for bit:
 
-* native: the C functions of ``_native.c``.  One ``ctypes`` call, which
-  releases the interpreter lock, runs every partition: the calling thread
-  and the threads it starts claim partitions from one counter, and all of
-  them are joined before the call returns;
+* native: the C functions of ``_native.c``, all of one signature: a table
+  of the body's arrays, in the order ``_native_arguments`` lists them, then
+  x, y, the prefetch distance and the partitions.  One ``ctypes`` call,
+  which releases the interpreter lock, runs every partition on the calling
+  thread and the threads it starts, all joined before the call returns;
 * numpy: vectorized bodies over ``a.row_of``, the row of each nonzero,
   run by ``run_partitions`` on a shared thread pool.
 
@@ -76,15 +77,12 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
     except (OSError, RuntimeError, ValueError) as exc:
         return None, f"numpy ({' '.join(str(exc).split())})"
     pointer, count = ctypes.c_void_p, ctypes.c_int64
-    parts = [pointer, count, count]  # bounds, nparts, threads
+    # in, x, y, distance, bounds, nparts, threads: EXPORT in _native.c.
+    kernel = [pointer, pointer, pointer, count, pointer, count, count]
     for width in ("i32", "i64"):
-        for name, argtypes in ((f"spmv_rows_{width}", [pointer] * 5),
-                               (f"spmv_prefetch_{width}", [pointer] * 5 + [count]),
-                               (f"spmv_unrolled_{width}", [pointer] * 5),
-                               (f"spmv_delta8_{width}", [pointer] * 9),
-                               (f"spmv_delta16_{width}", [pointer] * 9)):
-            fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes + parts, None
+        for body in ("rows", "prefetch", "unrolled", "delta8", "delta16"):
+            fn = getattr(lib, f"spmv_{body}_{width}")
+            fn.argtypes, fn.restype = kernel, None
         fn = getattr(lib, f"row_structure_{width}")
         fn.argtypes, fn.restype = [pointer, pointer, count, count, pointer, pointer], count
     return lib, "native"
@@ -234,16 +232,16 @@ _NUMPY = {"rows": _accumulate_rows, "prefetch": _prefetch_rows,
 # --- the choice ---------------------------------------------------------------
 
 def _native_arguments(kind, a, *args):
-    """The C function's name stem, its arrays and its trailing integers."""
+    """The C stem, its arrays in the order its body reads them, the distance."""
     if kind == "delta":
         return (f"delta{a.delta_width}",
                 (a.rowptr, a.row_encoding, a.deltas, a.abs_colind,
-                 a._delta_ofs, a._abs_ofs, a.values), ())
+                 a._delta_ofs, a._abs_ofs, a.values), 0)
     colind = args[0] if kind == "rows" else a.colind
     # A distance past the last nonzero hints nothing; capped at nnz so that
     # ctypes, which wraps integers silently, gets one that fits.
-    ints = (min(args[0], a.nnz),) if kind == "prefetch" else ()
-    return kind, (a.rowptr, colind, a.values), ints
+    distance = min(args[0], a.nnz) if kind == "prefetch" else 0
+    return kind, (a.rowptr, colind, a.values), distance
 
 
 def partition_body(kind: str, a, *args):
@@ -275,19 +273,20 @@ def partition_body(kind: str, a, *args):
             partial(body, x, y, int(bounds[p]), int(bounds[p + 1]))
             for p in range(len(bounds) - 1)]
         return run
-    stem, arrays, ints = _native_arguments(kind, a, *args)
+    stem, arrays, distance = _native_arguments(kind, a, *args)
     fn = getattr(lib, f"spmv_{stem}_i{8 * a.rowptr.itemsize}")
-    pointers = [arr.ctypes.data for arr in arrays]  # ~2 us each: taken once
+    # The body's ``in`` table; ~2 us per ``ctypes.data`` read: taken once.
+    table = (ctypes.c_void_p * len(arrays))(*(arr.ctypes.data for arr in arrays))
 
     def run(x, y, bounds, workers=None):
         # The C side caps the threads at MAX_THREADS; min() keeps a huge
         # ``workers`` from wrapping in ctypes.
         n = len(bounds) - 1
-        fn(*pointers, x.ctypes.data, y.ctypes.data, *ints, bounds.ctypes.data, n,
+        fn(table, x.ctypes.data, y.ctypes.data, distance, bounds.ctypes.data, n,
            n if workers is None else min(workers, n))
 
     def each(x, y, bounds):
-        head = (*pointers, x.ctypes.data, y.ctypes.data, *ints)
+        head = (table, x.ctypes.data, y.ctypes.data, distance)
         at = bounds.ctypes.data  # int64: partition p's bounds start 8 p bytes in
         return [partial(fn, *head, at + 8 * p, 1, 1) for p in range(len(bounds) - 1)]
 

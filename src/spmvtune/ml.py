@@ -20,6 +20,7 @@ from .taxonomy import MatrixClass
 
 MODEL_FORMAT_VERSION = 1
 _N_CLASSES = len(MatrixClass)
+_GNB_EPSILON = 1e-9  # train_gnb's relative variance smoothing
 
 
 class ModelFormatError(ValueError):
@@ -188,18 +189,18 @@ class GaussianNB:
         return self.classes[int(np.argmax(self.log_scores(x)))]
 
 
-def train_gnb(d: Dataset, epsilon: float = 1e-9) -> GaussianNB:
+def train_gnb(d: Dataset) -> GaussianNB:
     """Fit class priors plus per-class feature means and variances.
 
-    Variances are population variances plus a smoothing term of ``epsilon``
-    times the largest whole-dataset feature variance (``epsilon`` itself
-    when that is zero, floored at 1e-12), so zero-variance features cannot
-    produce degenerate densities.
+    Variances are population variances plus a smoothing term of
+    ``_GNB_EPSILON`` times the largest whole-dataset feature variance
+    (``_GNB_EPSILON`` itself when that is zero, floored at 1e-12), so
+    zero-variance features cannot produce degenerate densities.
     """
     codes = d.codes()
     present = sorted(set(d.labels))
     max_var = float(d.X.var(axis=0).max()) if d.n_features else 0.0
-    smoothing = epsilon * max_var if max_var > 0.0 else epsilon
+    smoothing = _GNB_EPSILON * max_var if max_var > 0.0 else _GNB_EPSILON
     smoothing = max(smoothing, 1e-12)
 
     priors = np.empty(len(present))
@@ -239,7 +240,6 @@ class TrainedModel:
     kind: str  # "tree" | "gnb"
     feature_names: tuple[str, ...]
     model: DecisionTree | GaussianNB
-    format_version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
         self.feature_names = tuple(self.feature_names)
@@ -295,7 +295,7 @@ def model_to_dict(m: TrainedModel) -> dict:
                   "priors": m.model.priors.tolist(),
                   "means": m.model.means.tolist(),
                   "variances": m.model.variances.tolist()}
-    return {"format_version": m.format_version, "kind": m.kind,
+    return {"format_version": MODEL_FORMAT_VERSION, "kind": m.kind,
             "feature_names": list(m.feature_names), "parameters": params}
 
 
@@ -311,6 +311,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
         raise ModelFormatError(
             f"unsupported model format_version {version!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
+    if not all(isinstance(name, str) for name in names):
+        raise ModelFormatError("feature_names must all be strings")
     try:
         if kind == "tree":
             n_features = int(params["n_features"])
@@ -325,7 +327,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
             raise ModelFormatError(f"unknown model kind {kind!r}")
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model parameters: {exc}") from exc
-    m = TrainedModel(kind, names, model, format_version=version)
+    m = TrainedModel(kind, names, model)
     if kind == "tree" and model.n_features != len(names):
         raise ModelFormatError("feature_names do not match tree width")
     if kind == "gnb":

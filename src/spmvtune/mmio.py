@@ -47,7 +47,8 @@ def _content(lines):
 
 
 def parse_matrix_market(source) -> TripletList:
-    """Parse a ``coordinate`` Matrix Market stream into triplets.
+    """Parse a ``coordinate`` Matrix Market string or text stream into
+    triplets.
 
     Supports the ``real``, ``integer`` and ``pattern`` fields with
     ``general`` or ``symmetric`` symmetry.  1-based file indices are
@@ -58,19 +59,11 @@ def parse_matrix_market(source) -> TripletList:
     A well-formed body is parsed in one vectorized pass; a body that pass
     rejects is read again line by line, which names the first bad line.
     """
-    lines = _TextLines(source) if isinstance(source, str) else iter(source)
+    lines = _TextLines(source) if isinstance(source, str) else source
     header = _read_header(lines)
-    if hasattr(lines, "read"):
-        text, lines = lines.read(), None
-    else:
-        lines = list(lines)
-        text = "".join(lines)
-        if list(_TextLines(text)) != lines:  # joining merged or split lines
-            text = ""
+    text = lines.read()
     t = _parse_body(text, *header)
-    if t is None:
-        t = _parse_lines(_TextLines(text) if lines is None else lines, *header)
-    return t
+    return _parse_lines(_TextLines(text), *header) if t is None else t
 
 
 def _read_header(lines) -> tuple[int, int, int, bool, bool]:

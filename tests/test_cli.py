@@ -298,17 +298,18 @@ def test_advise_missing_model_file_is_data_error(tmp_path):
 _LEAF = {"class": "CML", "counts": {"CML": 1}}
 
 
-@pytest.mark.parametrize("kind,params", [
-    ("tree", {"n_features": 1, "root": {"feature": 99, "threshold": 0.5,
-                                        "left": _LEAF, "right": _LEAF}}),
-    ("gnb", {"classes": ["CML", "MB"], "priors": [0.5, 0.5],
-             "means": [[0.0], [1.0]], "variances": [[-1.0], [-1.0]]}),
-], ids=["tree-feature-out-of-range", "gnb-negative-variance"])
-def test_advise_invalid_model_is_one_line_data_error(tmp_path, capsys, kind, params):
+@pytest.mark.parametrize("kind,names,params", [
+    ("tree", ["density"], {"n_features": 1, "root": {"feature": 99, "threshold": 0.5,
+                                                     "left": _LEAF, "right": _LEAF}}),
+    ("gnb", ["density"], {"classes": ["CML", "MB"], "priors": [0.5, 0.5],
+                          "means": [[0.0], [1.0]], "variances": [[-1.0], [-1.0]]}),
+    ("tree", ["size", 1], {"n_features": 2, "root": _LEAF}),
+], ids=["tree-feature-out-of-range", "gnb-negative-variance", "feature-name-not-a-string"])
+def test_advise_invalid_model_is_one_line_data_error(tmp_path, capsys, kind, names,
+                                                     params):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps({"format_version": 1, "kind": kind,
-                                 "feature_names": ["density"],
-                                 "parameters": params}))
+                                 "feature_names": names, "parameters": params}))
     matrix = generate(tmp_path, "banded", 8, 2, 0)
     capsys.readouterr()
     assert run(["advise", "--matrix", matrix, "--mode", "features",

@@ -138,7 +138,7 @@ def test_write_text_is_fixed(tmp_path):
 
 def _line_loop(source):
     """The reference parser: the header reader, then only the line loop."""
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = io.StringIO(source)
     return mmio._parse_lines(lines, *mmio._read_header(lines))
 
 
@@ -271,15 +271,6 @@ def mutated_bodies(draw):
 @given(mutated_bodies())
 def test_parse_matches_line_loop_on_generated_bodies(text):
     assert _outcome(parse_matrix_market, text) == _outcome(_line_loop, text)
-
-
-@pytest.mark.parametrize("lines", [
-    (_REAL + "2 2 2\n1 1 2.0\n2 2 3\n").splitlines(),
-    [_REAL, "2 2 2\n", "1 1 ", "2.0\n", "2 2 3\n"],
-    [_REAL, "2 2 2\n", "1 1 2.0\n2 2 3\n"],
-])
-def test_parse_line_list_matches_line_loop(lines):
-    assert _outcome(parse_matrix_market, lines) == _outcome(_line_loop, lines)
 
 
 @given(st.text(st.sampled_from("a \n\r%1"), max_size=30), st.integers(0, 8))

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +568,36 @@ def test_native_thread_cap_and_failed_starts(tmp_path, monkeypatch, fail):
         assert spmv_scheduled(a, x, policy, workers).tolist() == expected
         assert creates.value == (min(starts, 2) if fail else starts), workers
         assert _threads() == before
+
+
+def test_native_source_builds_without_warnings(tmp_path, monkeypatch):
+    use_backend(monkeypatch, "native")
+    done = subprocess.run([*shlex.split(os.environ.get("CC") or "cc"), *bodies.FLAGS,
+                           "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "strict.so"),
+                           str(bodies._SOURCE)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.usefixtures("kernel_backend")
+def test_body_keeps_its_temporary_index_array_alive():
+    # measure keeps only the noxmiss body, not its zeroed indices; the
+    # native body holds their address, so it must hold the array too.
+    rng = np.random.default_rng(23)
+    a = csr_from_triplets(random_triplets(rng, 40, 30, 0.2))
+    x = rng.uniform(-2.0, 2.0, 30)
+    zeros = np.zeros_like(a.colind)
+    alive = weakref.ref(zeros)
+    body = bodies.partition_body("rows", a, zeros)
+    del zeros
+    gc.collect()
+    assert alive() is not None
+    y = np.empty(a.nrows)
+    body(x, y, np.array([0, 20, a.nrows], dtype=np.int64), 2)
+    assert y.tolist() == sequential_matvec(a.rowptr.tolist(), [0] * a.nnz,
+                                           a.values.tolist(), x.tolist())
+    del body
+    gc.collect()
+    assert alive() is None
 
 
 def _run_python(code: str, **env) -> subprocess.CompletedProcess:
